@@ -2168,9 +2168,9 @@ def docs_pack_chunks(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def slim(t: pa.Table) -> pa.Table:
-        toks = pc.list_value_length(
-            pc.utf8_split_whitespace(t["text"].combine_chunks())
-        )
+        # count \S+ runs like the oracle: splitting on whitespace also
+        # yields empty tokens at leading/trailing space and for ""
+        toks = pc.count_substring_regex(t["text"].combine_chunks(), r"\S+")
         return pa.table(
             {
                 "doc_id": t["doc_id"].cast(pa.int64()),
@@ -2201,9 +2201,9 @@ WITH f AS (
   FROM f
 )
 SELECT doc_id, lang, n_tokens,
-       prev // 2048 AS chunk_start,
-       (prev + GREATEST(n_tokens, 1) - 1) // 2048 AS chunk_end,
-       prev % 2048 AS chunk_offset
+       CAST(prev // 2048 AS BIGINT) AS chunk_start,
+       CAST((prev + GREATEST(n_tokens, 1) - 1) // 2048 AS BIGINT) AS chunk_end,
+       CAST(prev % 2048 AS BIGINT) AS chunk_offset
 FROM c
 """
 

@@ -28,74 +28,9 @@ import ray
 
 from ..state.sketches import hash64
 from .blocks import arrow_block_refs
-from .exchange import broadcast_rows_budget
+from .exchange import Spill, _smallest_node, broadcast_rows_budget, land
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-
-
-def _smallest_store() -> int | None:
-    """Object-store bytes of the smallest alive node (None when no
-    cluster is up) — the per-node budget every pinning decision in
-    this module sizes against."""
-    try:
-        if ray.is_initialized():
-            sizes = [
-                n["Resources"]["object_store_memory"]
-                for n in ray.nodes()
-                if n.get("Alive")
-                and n.get("Resources", {}).get("object_store_memory")
-            ]
-            if sizes:
-                return int(min(sizes))
-    except Exception:
-        pass
-    return None
-
-
-def _land_parquet(rows, spill_dir: str, subname: str):
-    """Land ``rows`` as parquet under a function-owned subdirectory of
-    ``spill_dir`` and return a streaming reader over it. Only that
-    subdirectory is ever cleared between runs — pointing ``spill_dir``
-    at a pre-existing directory can never delete caller data (the old
-    behavior rmtree'd the caller-supplied path unconditionally).
-
-    The landing write runs under a capped executor object-store budget
-    (25% of the smallest node's store): a fast producer (e.g. the
-    SimHash band expansion, a 28× tile of each input block) otherwise
-    outruns the parquet writers until the store fills and raylet
-    SPILLS the backlog to disk — the same bytes then hit disk twice
-    (raylet spill + landed parquet) and a 50M-doc × 28-table landing
-    ENOSPC'd this VM. Capping the budget turns that backlog into
-    streaming backpressure. The cap is set on the DATASET's own
-    context copy — a Dataset snapshots DataContext at creation, so
-    mutating the global context here would be a silent no-op (the
-    first version of this cap was exactly that: 31 GB of raylet
-    spill sailed straight past it)."""
-    import shutil
-
-    import ray.data as rd
-
-    sub = os.path.join(spill_dir, subname)
-    shutil.rmtree(sub, ignore_errors=True)
-    os.makedirs(sub, exist_ok=True)
-    from ray.data._internal.execution.interfaces.execution_options import (
-        ExecutionResources,
-    )
-
-    opts = getattr(
-        rows, "context", rd.DataContext.get_current()
-    ).execution_options
-    prev = opts.resource_limits
-    store = _smallest_store()
-    try:
-        if store:
-            opts.resource_limits = ExecutionResources(
-                object_store_memory=int(store * 0.25)
-            )
-        rows.write_parquet(sub)
-    finally:
-        opts.resource_limits = prev
-    return rd.read_parquet(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +296,7 @@ def minhash_lsh_dedup(
     small_corpus_rows: int = 100_000,
     as_dataset: bool = False,
     pair_emission: str = "pairs",
-    sig_spill_dir: str | None = None,
-    band_spill_dir: str | None = None,
-    exchange_spill_dir: str | None = None,
-    exchange_phases: int = 1,
+    spill: Spill | None = None,
 ):
     """MinHash+LSH near-dup pairs, fully distributed:
 
@@ -406,6 +338,13 @@ def minhash_lsh_dedup(
     cluster recall is unchanged (tested + measured); for marginal
     chain-shaped families prefer "pairs".
 
+    ``spill``: the 10^8+-doc shape. The signature, band and pruned
+    tables land as parquet instead of being pinned in the object store
+    (at 10^8 docs the sig table alone exceeds a node's store and
+    minhash bytes are incompressible), and the candidate exchange and
+    both verify joins run disk-backed. Each landing is freed after its
+    last reader; results are identical (parity-tested).
+
     Returns a pyarrow Table (id_a, id_b, jaccard_est), id_a < id_b —
     or, with ``as_dataset=True``, the verified pairs as a Dataset
     (unsorted, possibly with band-duplicate pairs already removed):
@@ -441,20 +380,11 @@ def minhash_lsh_dedup(
         )
 
     # one text scan; landed once so banding and the verify join both
-    # consume it without recomputing signatures. Default landing is the
-    # object store (fine while n_docs × (n_perm × 8 B) fits the store +
-    # spill budget); ``sig_spill_dir`` lands it as parquet instead — the
-    # 100-TB shape: the sig table is ~0.05% of corpus bytes but at 10^8+
-    # docs it exceeds a single node's store, and minhash bytes are
-    # incompressible so spill is pure disk pressure. Parquet landing
-    # frees the store for the banding/verify exchanges and both
-    # consumers stream it back (measured: the 100M-doc chain on this
-    # VM dies of store-spill ENOSPC without it).
-    sig_rows = ds.map_batches(to_sig_rows, batch_format="pyarrow")
-    if sig_spill_dir is not None:
-        sig_rows = _land_parquet(sig_rows, sig_spill_dir, "_sod_sigs")
-    else:
-        sig_rows = sig_rows.materialize()
+    # consume it without recomputing signatures (measured: the 100M-doc
+    # chain dies of store-spill ENOSPC unless it lands on disk)
+    sig_rows = land(
+        ds.map_batches(to_sig_rows, batch_format="pyarrow"), spill, "sigs"
+    )
 
     def sig_to_bands(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -475,41 +405,19 @@ def minhash_lsh_dedup(
             }
         )
 
-    # ``band_spill_dir``: the band table is bands × ~20 B/doc (32 GB
-    # at 100M × 16 bands — nearly a whole 37.6 GB store); landing it
-    # as parquet keeps the store free for the candidate exchanges,
-    # same trade as sig_spill_dir.
-    # ``exchange_spill_dir``: the 10⁹-doc knob — pruned rows land as
-    # parquet (dup-heavy corpora make them store-sized) and the
-    # candidate-emission exchange itself goes through the disk-backed
-    # exchange_reduce_spill instead of in-plasma splits.
     band_rows = _prune_singleton_buckets(
         sig_rows.map_batches(sig_to_bands, batch_format="pyarrow"),
-        spill_dir=band_spill_dir,
-        out_spill_dir=exchange_spill_dir,
+        spill=spill,
     )
 
     pairs = _candidate_pairs(
-        band_rows, id_col, max_bucket_size, pair_emission,
-        exchange_spill_dir, exchange_phases,
+        band_rows, id_col, max_bucket_size, pair_emission, spill
     )
-
-    def _free_sigs():
-        # the verify sides have landed: the sig landing's last read is
-        # done (disk-tight volumes need the ~0.5 KB/doc back)
-        if sig_spill_dir is not None:
-            import shutil
-
-            shutil.rmtree(
-                os.path.join(sig_spill_dir, "_sod_sigs"),
-                ignore_errors=True,
-            )
-
     verified = _verify_pairs_distributed(
-        pairs, sig_rows, id_col, jaccard_threshold,
-        spill_dir=exchange_spill_dir,
-        after_sides_landed=_free_sigs if exchange_spill_dir else None,
+        pairs, sig_rows, id_col, jaccard_threshold, spill=spill
     )
+    if spill is not None:
+        spill.free("sigs")  # the verify joins were its last readers
     if as_dataset:
         return verified
     pdf = verified.to_pandas()
@@ -528,7 +436,7 @@ def minhash_lsh_dedup(
 
 
 def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
-                     exchange_spill_dir=None, exchange_phases=1):
+                     spill=None):
     """Candidate id pairs from pruned (band, band_hash, id) rows —
     candidate emission + pair dedup as two raw-task hash exchanges
     (stages/exchange). The former sort-based
@@ -542,15 +450,12 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
     (small) distinct pair Dataset, materialized before the verify
     joins.
 
-    ``exchange_spill_dir``: route the candidate-emission exchange
-    through :func:`exchange.exchange_reduce_spill` (bucket-partitioned
-    parquet landing, optional ``exchange_phases`` split-phase) instead
-    of the in-plasma exchange — the 10⁹-doc tier, where the pruned
-    band rows exceed the object store and the in-plasma exchange
-    (input blocks + sorted splits ≈ 2× data) ENOSPCs the raylet spill.
-    The pair-dedup exchange stays in-plasma: its input is
-    candidate-pair-sized, orders of magnitude slimmer."""
-    from .exchange import exchange_reduce, exchange_reduce_spill
+    ``spill``: the candidate-emission exchange runs disk-backed (the
+    10⁹-doc tier, where the pruned band rows exceed the object store)
+    and frees the pruned landing it consumed. The pair-dedup exchange
+    stays in-plasma: its input is candidate-pair-sized, orders of
+    magnitude slimmer."""
+    from .exchange import exchange_reduce
 
     def add_bk(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "band" not in t.column_names:
@@ -608,14 +513,10 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
             }
         )
 
-    if exchange_spill_dir is not None:
-        cand = exchange_reduce_spill(
-            keyed, "bk", emit_candidates, exchange_spill_dir,
-            phases=exchange_phases,
-        )
-    else:
-        cand = exchange_reduce(keyed, "bk", emit_candidates)
+    cand = exchange_reduce(keyed, "bk", emit_candidates, spill=spill)
     del keyed
+    if spill is not None:
+        spill.free("pruned")  # the exchange landing was its last read
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
         empty = pa.schema(
@@ -638,25 +539,7 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
         )
 
     # land the (small) distinct pair list before the verify joins
-    out = exchange_reduce(cand, "pk", distinct_pairs).materialize()
-    if exchange_spill_dir is not None:
-        # the materialize above forced every upstream read: the pruned
-        # landing and the candidate exchange's landed buckets are dead
-        # weight on a disk-tight volume (measured: their ~4 GB plus the
-        # 23 GB sig landing pushed a 60M-doc funnel past the raylet
-        # disk monitor during the verify joins)
-        import glob as _glob
-        import shutil as _shutil
-
-        _shutil.rmtree(
-            os.path.join(exchange_spill_dir, "_sod_pruned"),
-            ignore_errors=True,
-        )
-        for d in _glob.glob(
-            os.path.join(exchange_spill_dir, "_sod_exchange_p*")
-        ):
-            _shutil.rmtree(d, ignore_errors=True)
-    return out
+    return exchange_reduce(cand, "pk", distinct_pairs).materialize()
 
 
 def _bucket_key64(t: pa.Table):
@@ -700,8 +583,7 @@ def _bucket_hot_keys(*pieces) -> np.ndarray:
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
 
 
-def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray,
-                          land_dir: str | None = None):
+def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray):
     """Keep only rows whose composite key is in ``hot_np``: broadcast
     the keys SORTED once and probe per batch with ``np.searchsorted``.
 
@@ -712,12 +594,7 @@ def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray,
     18+ min on the 50M-doc × 28-table SimHash corpus). The sorted-probe
     is O(batch · log keys) with zero per-batch setup, so plain tasks
     (zero-copy local ray.get) stay the right choice over an actor pool.
-
-    ``land_dir``: land the filtered rows as parquet instead of
-    materializing them in the object store — for DUP-HEAVY corpora at
-    the 10^9-doc tier the surviving rows are themselves store-sized
-    (30% near-dup web reality × 10^9 docs × 28 tables), and the
-    downstream spill exchange streams them from disk anyway."""
+    Returns the lazy filtered Dataset."""
     hot_np = np.sort(hot_np)
     key_ref = ray.put(hot_np)
 
@@ -730,18 +607,14 @@ def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray,
         mask = hot[np.minimum(pos, hot.shape[0] - 1)] == ks
         return t.filter(pa.array(mask))
 
-    filtered = band_rows.map_batches(hot_filter, batch_format="pyarrow")
-    if land_dir is not None:
-        return _land_parquet(filtered, land_dir, "_sod_pruned")
-    return filtered.materialize()
+    return band_rows.map_batches(hot_filter, batch_format="pyarrow")
 
 
 def _prune_singleton_buckets(
     band_rows,
     num_partitions: int | None = None,
     key_col: str | None = None,
-    spill_dir: str | None = None,
-    out_spill_dir: str | None = None,
+    spill: Spill | None = None,
 ):
     """Drop band buckets holding a single doc BEFORE the per-bucket
     group pass: nearly every bucket is a singleton (no candidate pair
@@ -750,36 +623,25 @@ def _prune_singleton_buckets(
     buckets. Hot keys come from per-batch value_counts (small inputs)
     or a raw-task key exchange (large), then one broadcast filter —
     all distributed. ``key_col``: use a precomputed int64 bucket-key
-    column instead of deriving band<<56|band_hash. ``spill_dir``:
-    land the band rows as parquet instead of pinning them in the
-    object store — the ``sig_spill_dir`` idea for band rows; at 10⁸
-    docs × 12-28 tables the band table is tens of GB, larger than a
-    node's store, and both passes below stream it fine from disk.
-    ``out_spill_dir``: land the FILTERED rows too (instead of a store
-    materialize) — needed when the dup buckets themselves are
-    store-sized (dup-heavy corpus × 10⁹ docs)."""
+    column instead of deriving band<<56|band_hash. ``spill``: land
+    the band rows (tens of GB at 10⁸ docs × 12-28 tables, larger than
+    a node's store; both passes below stream them from disk) and the
+    filtered rows (store-sized for a dup-heavy corpus × 10⁹ docs) as
+    parquet. The band landing is freed once the filtered copy has
+    committed; the caller frees ``"pruned"`` after its last read."""
     import pyarrow.compute as pc
 
     # land the band rows once: the count pass, the filter pass and the
     # downstream groupby would otherwise each re-execute the signature
     # scan through lineage
-    landed_bands_sub = None
-    if spill_dir is not None:
-        band_rows = _land_parquet(band_rows, spill_dir, "_sod_bands")
-        landed_bands_sub = os.path.join(spill_dir, "_sod_bands")
-    else:
-        band_rows = band_rows.materialize()
+    band_rows = land(band_rows, spill, "bands")
 
-    def _free_bands():
-        # the pruned-output landing is the band landing's LAST read —
-        # on a disk-tight volume the full band table (tens of GB at
-        # 10⁸ docs × wide designs) can be freed the moment the pruned
-        # copy has committed, before the candidate exchange lands its
-        # own copy
-        if landed_bands_sub is not None and out_spill_dir is not None:
-            import shutil
+    def finish(pruned):
+        pruned = land(pruned, spill, "pruned")
+        if spill is not None:
+            spill.free("bands")  # the pruned landing was its last read
+        return pruned
 
-            shutil.rmtree(landed_bands_sub, ignore_errors=True)
     n_rows = band_rows.count()
     if key_col is not None:
         def key64_of(t, _c=key_col):
@@ -805,10 +667,7 @@ def _prune_singleton_buckets(
             .sum()
         )
         hot_np = pdf.loc[pdf["c"] >= 2, "key"].to_numpy()
-        out = _broadcast_key_filter(band_rows, key64_of, hot_np,
-                                    land_dir=out_spill_dir)
-        _free_bands()
-        return out
+        return finish(_broadcast_key_filter(band_rows, key64_of, hot_np))
 
     # >5M band rows: sharded hot-key detection via a raw-task hash-
     # bucket exchange of ONLY the 8-byte composite keys (the
@@ -845,10 +704,7 @@ def _prune_singleton_buckets(
         # dup buckets are few (the common case — planted-dup corpora
         # measure <1% of docs in dup buckets): broadcast the composite
         # keys once. 8 B/key → ≤160 MB.
-        out = _broadcast_key_filter(band_rows, key64_of, hot_np,
-                                    land_dir=out_spill_dir)
-        _free_bands()
-        return out
+        return finish(_broadcast_key_filter(band_rows, key64_of, hot_np))
     # dup-heavy corpus (>20M dup buckets): broadcast would pin too
     # much worker heap — distributed hash join against the hot-key
     # table instead
@@ -864,11 +720,7 @@ def _prune_singleton_buckets(
     joined = keyed.join(
         hot, "inner", _join_partitions(num_partitions), on=("__key64",)
     ).drop_columns(["__key64"])
-    if out_spill_dir is not None:
-        out = _land_parquet(joined, out_spill_dir, "_sod_pruned")
-        _free_bands()
-        return out
-    return joined.materialize()
+    return finish(joined)
 
 
 def _join_partitions(requested: int | None) -> int:
@@ -913,8 +765,7 @@ def _verify_pairs_distributed(
     payload_col: str = "sig",
     out_col: str = "jaccard_est",
     scorer=None,
-    spill_dir: str | None = None,
-    after_sides_landed=None,
+    spill: Spill | None = None,
 ):
     """Distributed pair verify: two native hash joins attach each
     endpoint's binary payload (MinHash signature by default; any
@@ -933,7 +784,13 @@ def _verify_pairs_distributed(
     at the default), broadcast it once and filter sig_rows to only the
     referenced docs in one scan, so the joins shuffle candidate-sized
     tables. Dup-heavy corpora past the limit fall back to the full
-    join, which is then the right shape anyway."""
+    join, which is then the right shape anyway.
+
+    ``spill``: both joins run disk-backed (a 60M-doc funnel's
+    candidate-pair × payload join spilled past the raylet disk monitor
+    through the in-plasma exchange, and the native-join fallback
+    OOM-killed its aggregators — measured); only the SCORED pairs,
+    threshold-filtered with payloads dropped, are materialized."""
     # num_partitions=None → bucketed_equi_join sizes the fan-out to the
     # candidate volume (RefBundle row metadata, no extra execution)
     n_pairs = pairs.count()
@@ -1014,62 +871,31 @@ def _verify_pairs_distributed(
     # join, which aggregates incrementally instead of pinning.
     # Materialize between the two so the second join reads landed
     # blocks (and the two aggregator pools never run concurrently).
-    from .joins import bucketed_equi_join, bucketed_equi_join_spill
+    from .joins import bucketed_equi_join
 
-    try:
-        side_bytes = sig_rows.size_bytes() or 0
-    except Exception:
-        side_bytes = 0
-    store = _smallest_store()
-    if spill_dir is not None:
-        # disk-backed joins: both sides land as bucket-partitioned
-        # parquet, one join task per bucket — plasma never holds the
-        # shuffle (a 60M-doc funnel's candidate-pair × payload join
-        # spilled past the raylet disk monitor through the in-plasma
-        # exchange, and the native-join fallback OOM-killed its
-        # aggregators — measured). NOTHING payload-bearing
-        # materializes: the second join's landing streams the first
-        # join's bucket outputs straight back to disk, and only the
-        # SCORED pairs (threshold-filtered, payload dropped — orders
-        # of magnitude slimmer than pairs × 2 signatures) enter
-        # plasma. Distinct subdirs per join: j1's landed buckets must
-        # survive until the second landing has consumed them.
-        import shutil
-
-        vdir1 = os.path.join(spill_dir, "_sod_verify1")
-        vdir2 = os.path.join(spill_dir, "_sod_verify2")
-        j1 = bucketed_equi_join_spill(
-            pairs, sa, "id_a", vdir1, num_buckets=num_partitions
-        )
-        j = bucketed_equi_join_spill(
-            j1, sb, "id_b", vdir2, num_buckets=num_partitions
-        )
-        # the second landing consumed j1's bucket outputs AND the
-        # payload table's last read: vdir1 and the caller's payload
-        # landing (the 23-GB sig table at 60M docs) are both dead —
-        # free them BEFORE the join outputs start landing in plasma
-        shutil.rmtree(vdir1, ignore_errors=True)
-        if after_sides_landed is not None:
-            after_sides_landed()
-        out = j.map_batches(
-            _make_est_batch(score, threshold, out_col),
-            batch_format="pyarrow",
-        ).materialize()
-        shutil.rmtree(vdir2, ignore_errors=True)
-        return out
+    side_bytes = store = 0
+    if spill is None:  # sizing a lazy landed side would execute it
+        try:
+            side_bytes = sig_rows.size_bytes() or 0
+        except Exception:
+            side_bytes = 0
+        store = _smallest_node()[0]
     if side_bytes and store and 8 * side_bytes > store:
         parts = _join_partitions(num_partitions)
         j1 = pairs.join(sa, "inner", parts, on=("id_a",)).materialize()
         j = j1.join(sb, "inner", parts, on=("id_b",))
     else:
         j1 = bucketed_equi_join(
-            pairs, sa, "id_a", num_buckets=num_partitions
+            pairs, sa, "id_a", num_buckets=num_partitions, spill=spill
         ).materialize()
-        j = bucketed_equi_join(j1, sb, "id_b", num_buckets=num_partitions)
+        j = bucketed_equi_join(
+            j1, sb, "id_b", num_buckets=num_partitions, spill=spill
+        )
 
-    return j.map_batches(
+    scored = j.map_batches(
         _make_est_batch(score, threshold, out_col), batch_format="pyarrow"
     )
+    return scored if spill is None else scored.materialize()
 
 
 def _make_est_batch(score, threshold, out_col):
@@ -1266,9 +1092,7 @@ def simhash_dedup(
     n_bands: int = 4,
     sig_bits: int = 64,
     table_design: str = "all",
-    band_spill_dir: str | None = None,
-    exchange_spill_dir: str | None = None,
-    exchange_phases: int = 1,
+    spill: Spill | None = None,
 ):
     """SimHash near-dup: banded bucket keys (any doc pair within the
     guaranteed hamming radius shares ≥1 exact key by pigeonhole) →
@@ -1321,20 +1145,13 @@ def simhash_dedup(
     exchange dedupes pairs found in several tables. No per-bucket
     Python callable, no Dataset sort shuffles.
 
-    ``band_spill_dir``: land the band-row table as parquet instead of
-    pinning it in the object store (the ``sig_spill_dir`` idea) — at
-    10⁸ docs the 128-bit band table is 12-28 rows × 32 B per doc
-    (38-90 GB), larger than a node's store; landed, both prune passes
-    and the verify exchange stream it from disk. Parity-tested
-    byte-identical to the in-store path.
-
-    ``exchange_spill_dir``: the 10⁹-doc knob — the PRUNED rows land as
-    parquet (dup-heavy corpora make them store-sized) and the verify
-    exchange runs through the disk-backed
-    :func:`exchange.exchange_reduce_spill` (``exchange_phases``
-    split-phase for volumes that cannot hold input + one landed copy)
-    instead of in-plasma splits. Identical results (parity-tested)."""
-    from .exchange import exchange_reduce, exchange_reduce_spill
+    ``spill``: the band-row table (12-28 rows × 32 B per doc at 128
+    bits — 38-90 GB at 10⁸ docs, larger than a node's store) and the
+    pruned rows land as parquet, and the verify exchange runs
+    disk-backed (``spill.phases`` split-phase for volumes that cannot
+    hold input + one landed copy). Each landing is freed after its
+    last reader; results are byte-identical (parity-tested)."""
+    from .exchange import exchange_reduce
 
     if sig_bits not in (64, 128):
         raise ValueError(f"sig_bits must be 64 or 128, got {sig_bits}")
@@ -1412,8 +1229,7 @@ def simhash_dedup(
     band_rows = _prune_singleton_buckets(
         ds.map_batches(add_simhash, batch_format="pyarrow"),
         key_col="bk",
-        spill_dir=band_spill_dir,
-        out_spill_dir=exchange_spill_dir,
+        spill=spill,
     )
 
     pair_schema = pa.schema(
@@ -1500,14 +1316,10 @@ def simhash_dedup(
             }
         )
 
-    if exchange_spill_dir is not None:
-        cand = exchange_reduce_spill(
-            band_rows, "bk", verify_bucket, exchange_spill_dir,
-            phases=exchange_phases,
-        )
-    else:
-        cand = exchange_reduce(band_rows, "bk", verify_bucket)
+    cand = exchange_reduce(band_rows, "bk", verify_bucket, spill=spill)
     del band_rows
+    if spill is not None:
+        spill.free("pruned")  # the exchange landing was its last read
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
         empty = pa.schema(
@@ -1529,24 +1341,7 @@ def simhash_dedup(
             }
         )
 
-    out = exchange_reduce(cand, "pk", distinct_pairs)
-    if exchange_spill_dir is not None:
-        # force the pair exchange, then free the dead landings (the
-        # pruned rows and the verify exchange's landed buckets) — same
-        # disk-lifecycle contract as the MinHash chain
-        import glob as _glob
-        import shutil as _shutil
-
-        out = out.materialize()
-        _shutil.rmtree(
-            os.path.join(exchange_spill_dir, "_sod_pruned"),
-            ignore_errors=True,
-        )
-        for d in _glob.glob(
-            os.path.join(exchange_spill_dir, "_sod_exchange_p*")
-        ):
-            _shutil.rmtree(d, ignore_errors=True)
-    return out
+    return exchange_reduce(cand, "pk", distinct_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1927,10 +1722,7 @@ def embedding_neardup(
     small_corpus_rows: int = 100_000,
     max_bucket_size: int = 256,
     pair_emission: str = "pairs",
-    vec_spill_dir: str | None = None,
-    band_spill_dir: str | None = None,
-    exchange_spill_dir: str | None = None,
-    exchange_phases: int = 1,
+    spill: Spill | None = None,
 ):
     """Near-dup by cosine similarity over an embedding column:
     ``n_bands`` independent random-hyperplane LSH tables (planes
@@ -1957,6 +1749,8 @@ def embedding_neardup(
     ``max_bucket_size`` as in ``minhash_lsh_dedup``), and verify is the
     distributed payload join with a dot-product scorer.
     ``small_corpus_rows`` is kept for API compatibility and ignored.
+    ``spill`` lands every intermediate table and runs the exchange and
+    joins disk-backed, as in ``minhash_lsh_dedup``.
     """
     if pair_emission not in ("pairs", "star"):
         raise ValueError(
@@ -1968,27 +1762,24 @@ def embedding_neardup(
     )
     return _embedding_large(
         ds, vec_col, id_col, threshold, n_planes, seed, dim, n_bands,
-        max_bucket_size, pair_emission, vec_spill_dir, band_spill_dir,
-        exchange_spill_dir, exchange_phases,
+        max_bucket_size, pair_emission, spill,
     )
 
 
 def _embedding_large(
     ds, vec_col, id_col, threshold, n_planes, seed, dim, n_bands,
-    max_bucket_size, pair_emission, vec_spill_dir=None,
-    band_spill_dir=None, exchange_spill_dir=None, exchange_phases=1,
+    max_bucket_size, pair_emission, spill=None,
 ):
     """Large-corpus embedding LSH (see embedding_neardup docstring):
     lands normalized float32 vectors ONCE, shuffles only slim
     (band, bucket, id) rows, reuses the MinHash chain's candidate
     exchanges and distributed payload-join verify.
 
-    ``vec_spill_dir`` is the ``sig_spill_dir`` idea for vectors: the
-    normalized table (4·d B/doc — 7.7 GB at 30M×64d, incompressible)
-    is landed as parquet and STREAMED by both consumers instead of
-    pinned in the object store, where it competes with the banding
-    and verify shuffles for spill budget (a 30M×64d run without it
-    died in raylet-spill ENOSPC on this VM's ~80 GB disk)."""
+    With ``spill`` the normalized table (4·d B/doc — 7.7 GB at
+    30M×64d, incompressible) lands as parquet and both consumers
+    STREAM it, instead of pinning it in the object store against the
+    banding and verify shuffles (a 30M×64d run without it died in
+    raylet-spill ENOSPC on an ~80 GB disk)."""
     from .similarity import _normalize, _to_matrix
 
     def to_vec_rows(batch: pa.Table) -> pa.Table:
@@ -2002,11 +1793,9 @@ def _embedding_large(
         )
 
     # one scan; banding and the verify join both consume the landed rows
-    vec_rows = ds.map_batches(to_vec_rows, batch_format="pyarrow")
-    if vec_spill_dir is not None:
-        vec_rows = _land_parquet(vec_rows, vec_spill_dir, "_sod_vecs")
-    else:
-        vec_rows = vec_rows.materialize()
+    vec_rows = land(
+        ds.map_batches(to_vec_rows, batch_format="pyarrow"), spill, "vecs"
+    )
 
     state: dict = {"planes": None}
     empty_bands = pa.table(
@@ -2046,12 +1835,10 @@ def _embedding_large(
 
     band_rows = _prune_singleton_buckets(
         vec_rows.map_batches(vn_to_bands, batch_format="pyarrow"),
-        spill_dir=band_spill_dir,
-        out_spill_dir=exchange_spill_dir,
+        spill=spill,
     )
     pairs = _candidate_pairs(
-        band_rows, id_col, max_bucket_size, pair_emission,
-        exchange_spill_dir, exchange_phases,
+        band_rows, id_col, max_bucket_size, pair_emission, spill
     )
 
     def cos_score(col_a, col_b) -> np.ndarray:
@@ -2068,16 +1855,7 @@ def _embedding_large(
         )
         return np.einsum("ij,ij->i", A, B)
 
-    def _free_vecs():
-        if vec_spill_dir is not None:
-            import shutil
-
-            shutil.rmtree(
-                os.path.join(vec_spill_dir, "_sod_vecs"),
-                ignore_errors=True,
-            )
-
-    return _verify_pairs_distributed(
+    verified = _verify_pairs_distributed(
         pairs,
         vec_rows,
         id_col,
@@ -2085,9 +1863,11 @@ def _embedding_large(
         payload_col="vn",
         out_col="cosine",
         scorer=cos_score,
-        spill_dir=exchange_spill_dir,
-        after_sides_landed=_free_vecs if exchange_spill_dir else None,
+        spill=spill,
     )
+    if spill is not None:
+        spill.free("vecs")  # the verify joins were its last readers
+    return verified
 
 
 # ---------------------------------------------------------------------------
@@ -2381,7 +2161,7 @@ def neardup_dedup_corpus(
 #
 # The streaming sibling of minhash_lsh_dedup for the incremental
 # landing-zone loop: previous batches' signatures persist as parquet
-# shards (the same durable-landing idea as sig_spill_dir), and each
+# shards (the same durable-landing idea as ``Spill``), and each
 # new ARRIVAL BATCH probes them before curation. Scale contract:
 # arrival batches are incremental (they fit one node's memory — that
 # is what an arrival batch IS); the accumulated INDEX does not and is
@@ -2746,8 +2526,7 @@ def winnow_overlap_pairs_ds(
     max_df: int = 256,
     num_buckets: int | None = None,
     fp_sample: int = 1,
-    exchange_spill_dir: str | None = None,
-    exchange_phases: int = 1,
+    spill: Spill | None = None,
 ):
     """Distributed winnowing-overlap candidate pairs: docs sharing >=
     ``min_shared`` distinct selected fingerprints (MOSS / SIGMOD'03
@@ -2800,16 +2579,14 @@ def winnow_overlap_pairs_ds(
     Returns a Dataset of (id_a, id_b, n_shared), id_a < id_b —
     n_shared is the sampled count when fp_sample > 1.
 
-    ``exchange_spill_dir``: the 10⁹-doc knob (same contract as the
-    MinHash/SimHash chains) — the slim (fp, doc) table lands as
-    parquet instead of a store materialize, and both exchanges (fp
-    pairing + pk counting) run through
-    :func:`exchange.exchange_reduce_spill` (bucket-partitioned
-    landing, optional ``exchange_phases`` split-phase). Identical
-    results (parity-tested); use when slim fp rows (~16 B × fps/doc ×
-    corpus) or the O(Σ df²) pair rows rival the object store."""
+    ``spill``: the 10⁹-doc knob (same contract as the MinHash/SimHash
+    chains) — the slim (fp, doc) table lands as parquet instead of a
+    store materialize, and both exchanges (fp pairing + pk counting)
+    run disk-backed. Identical results (parity-tested); use when slim
+    fp rows (~16 B × fps/doc × corpus) or the O(Σ df²) pair rows rival
+    the object store."""
     from ..functions.text import winnow_fingerprints_fast
-    from .exchange import exchange_reduce, exchange_reduce_spill
+    from .exchange import exchange_reduce
 
     from ..state.sketches import _splitmix64
 
@@ -2934,7 +2711,7 @@ def winnow_overlap_pairs_ds(
 
         return count_pairs
 
-    def chain(src_ds, sample: int, min_count: int, tag: str = ""):
+    def chain(src_ds, sample: int, min_count: int):
         slim = src_ds.map_batches(
             make_fp_rows(sample), batch_format="pyarrow"
         )
@@ -2945,33 +2722,18 @@ def winnow_overlap_pairs_ds(
         # heavy head the cap exists to kill (measured: ENOSPC at 1M
         # docs with the unscaled cap)
         df_cap = max(2, max_df // sample)
-        if exchange_spill_dir is not None:
-            # distinct subdirs per exchange AND per pass (candidate vs
-            # verify): exchange_reduce_spill owns+clears its subdir,
-            # and a second call over the same path would clear files
-            # the first call's lazy reduces still read
-            slim = _land_parquet(
-                slim, exchange_spill_dir, f"_sod_winnow_slim{tag}"
-            )
-            pair_rows = exchange_reduce_spill(
-                slim, "fp", make_emit_pairs(df_cap),
-                os.path.join(exchange_spill_dir, f"fp{tag}"),
-                num_buckets, phases=exchange_phases,
-            )
-            return exchange_reduce_spill(
-                pair_rows, "pk", make_count_pairs(min_count),
-                os.path.join(exchange_spill_dir, f"pk{tag}"),
-                num_buckets, phases=exchange_phases,
-            )
-        slim = slim.materialize()
         pair_rows = exchange_reduce(
-            slim,
+            land(slim, spill, "winnow_slim"),
             "fp",
             make_emit_pairs(df_cap),
             num_buckets,
+            spill=spill,
         )
+        if spill is not None:
+            spill.free("winnow_slim")  # the exchange landing read it last
         return exchange_reduce(
-            pair_rows, "pk", make_count_pairs(min_count), num_buckets
+            pair_rows, "pk", make_count_pairs(min_count), num_buckets,
+            spill=spill,
         )
 
     if fp_sample <= 1:
@@ -2991,7 +2753,7 @@ def winnow_overlap_pairs_ds(
     # sampled count is Binomial(shared, 1/s) with mean >= min_shared/s,
     # so requiring half the mean costs ~0.5% candidacy recall
     cand_min = max(1, -(-min_shared // (2 * fp_sample)))
-    cand = chain(ds, fp_sample, cand_min, tag="_cand").materialize()
+    cand = chain(ds, fp_sample, cand_min).materialize()
     if cand.count() == 0:
         return cand
 
@@ -3025,7 +2787,7 @@ def winnow_overlap_pairs_ds(
         return t.filter(pa.array(cids[pos] == ids))
 
     subset = ds.map_batches(member_only, batch_format="pyarrow")
-    return chain(subset, 1, min_shared, tag="_verify")
+    return chain(subset, 1, min_shared)
 
 
 def winnow_overlap_drop_ids(
@@ -3038,8 +2800,7 @@ def winnow_overlap_drop_ids(
     max_df: int = 256,
     num_buckets: int | None = None,
     fp_sample: int = 1,
-    exchange_spill_dir: str | None = None,
-    exchange_phases: int = 1,
+    spill: Spill | None = None,
 ):
     """Containment-dedup DECISION: the slim drop-id Dataset (one
     ``node`` int64 column — non-canonical members of every
@@ -3053,8 +2814,7 @@ def winnow_overlap_drop_ids(
     pairs = winnow_overlap_pairs_ds(
         ds, text_col, id_col, k=k, w=w,
         min_shared=min_shared, max_df=max_df, num_buckets=num_buckets,
-        fp_sample=fp_sample, exchange_spill_dir=exchange_spill_dir,
-        exchange_phases=exchange_phases,
+        fp_sample=fp_sample, spill=spill,
     ).map_batches(
         lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
     ).materialize()

@@ -24,6 +24,10 @@ max(8, cluster CPUs))."""
 
 from __future__ import annotations
 
+import os
+import shutil
+from dataclasses import dataclass
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -37,6 +41,110 @@ def _default_buckets() -> int:
     except Exception:
         pass
     return 8
+
+
+def _smallest_node() -> tuple[int | None, float | None]:
+    """(object-store bytes, CPUs) of the smallest alive node — each the
+    minimum over alive nodes, None when no cluster is up. Every
+    per-node budget (broadcast sizes, landing caps, disk-reduce CPU
+    requests) sizes against this one scan."""
+    stores, cpus = [], []
+    try:
+        if ray.is_initialized():
+            for n in ray.nodes():
+                res = n.get("Resources", {}) if n.get("Alive") else {}
+                if res.get("object_store_memory"):
+                    stores.append(int(res["object_store_memory"]))
+                if res.get("CPU"):
+                    cpus.append(res["CPU"])
+    except Exception:
+        pass
+    return (min(stores) if stores else None, min(cpus) if cpus else None)
+
+
+def _reduce_cpus() -> float:
+    """CPU request of one disk-backed reduce task: 2 (each holds a whole
+    bucket read from disk, so fewer run at once), capped at the smallest
+    node's CPUs so the task can be scheduled on a 1-CPU node."""
+    return min(2, _smallest_node()[1] or 1)
+
+
+@dataclass(frozen=True)
+class Spill:
+    """Disk landing policy shared by :func:`exchange_reduce`,
+    ``joins.bucketed_equi_join`` and the near-dup chains in
+    ``stages.dedup``: intermediate tables land as parquet under
+    ``dir`` instead of being pinned in the object store.
+
+    Every landing lives in a function-owned ``dir/_sod_<name>``
+    subdirectory, cleared before it is written and freed after its last
+    reader, so caller data in ``dir`` is never deleted and nothing is
+    left behind. Writes run under a capped executor object-store budget
+    (25% of the smallest node's store): a fast producer otherwise
+    outruns the parquet writers until raylet spills the backlog, and
+    the same bytes hit disk twice (a 50M-doc SimHash landing ENOSPC'd a
+    93 GB volume that way). The cap is set on the Dataset's own context
+    copy — a Dataset snapshots DataContext at creation, so mutating the
+    global context is a silent no-op.
+
+    ``phases``: split-phase exchanges for volumes that cannot hold the
+    input plus one full landed copy (see :func:`exchange_reduce`)."""
+
+    dir: str
+    phases: int = 1
+
+    def __post_init__(self):
+        if self.phases < 1:
+            raise ValueError(f"phases must be >= 1, got {self.phases}")
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.dir, f"_sod_{name}")
+
+    def write(self, ds, name: str, partition_cols=None) -> str:
+        """Land ``ds`` under ``_sod_<name>``; returns the path."""
+        import ray.data as rd
+        from ray.data._internal.execution.interfaces.execution_options import (
+            ExecutionResources,
+        )
+
+        path = self.path(name)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path, exist_ok=True)
+        ctx = getattr(ds, "context", rd.DataContext.get_current())
+        opts = ctx.execution_options
+        prev = opts.resource_limits
+        store = _smallest_node()[0]
+        try:
+            if store:
+                opts.resource_limits = ExecutionResources(
+                    object_store_memory=int(store * 0.25)
+                )
+            ds.write_parquet(path, partition_cols=partition_cols)
+        finally:
+            opts.resource_limits = prev
+        return path
+
+    def free(self, *names: str) -> None:
+        for name in names:
+            shutil.rmtree(self.path(name), ignore_errors=True)
+
+    def free_after(self, refs: list, *names: str) -> None:
+        """Free landings once the tasks behind ``refs``, their last
+        readers, have finished."""
+        if refs:
+            ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        self.free(*names)
+
+
+def land(ds, spill: Spill | None, name: str):
+    """Land ``ds`` once for several readers: as parquet under ``spill``
+    (a streaming reader over ``_sod_<name>``), or materialized in the
+    object store when there is no spill."""
+    import ray.data as rd
+
+    if spill is None:
+        return ds.materialize()
+    return rd.read_parquet(spill.write(ds, name))
 
 
 def broadcast_rows_budget(
@@ -56,22 +164,16 @@ def broadcast_rows_budget(
     with 8-byte payloads pass ``bytes_per_row=8`` (and the MinHash
     endpoint filters use ``fraction=0.004``, the tuned 20M-row point).
     """
-    store = None
-    try:
-        if ray.is_initialized():
-            sizes = [
-                n["Resources"]["object_store_memory"]
-                for n in ray.nodes()
-                if n.get("Alive")
-                and n.get("Resources", {}).get("object_store_memory")
-            ]
-            if sizes:
-                store = min(sizes)
-    except Exception:
-        pass
+    store = _smallest_node()[0]
     if store is None:
         store = 4 << 30  # no cluster yet: a conservative 4 GiB
     return int(min(ceiling, max(floor, fraction * store / bytes_per_row)))
+
+
+def _bucket_of(t: pa.Table, key_col: str, P: int) -> np.ndarray:
+    """Bucket of every row: key % P, non-negative for signed keys."""
+    k = t[key_col].to_numpy(zero_copy_only=False)
+    return (k.astype(np.int64, copy=False) % P + P) % P
 
 
 @ray.remote
@@ -82,8 +184,7 @@ def _split_block(t: pa.Table, key_col: str, P: int):
         # schema — they carry no rows, route nothing
         e = t.slice(0, 0)
         return tuple(e for _ in range(P))
-    k = t[key_col].to_numpy(zero_copy_only=False)
-    b = (k.astype(np.int64, copy=False) % P + P) % P
+    b = _bucket_of(t, key_col, P)
     order = np.argsort(b, kind="stable")
     st = t.take(pa.array(order))
     bs = b[order]
@@ -106,7 +207,14 @@ def _reduce_bucket(fn, *pieces):
     return fn(t)
 
 
-def exchange_reduce(ds, key_col: str, fn, num_buckets: int | None = None):
+def exchange_reduce(
+    ds,
+    key_col: str,
+    fn,
+    num_buckets: int | None = None,
+    spill: Spill | None = None,
+    after_land=None,
+):
     """Hash-exchange ``ds`` by integer column ``key_col`` into P buckets
     and apply ``fn(bucket_table) -> pa.Table`` once per bucket.
 
@@ -121,7 +229,65 @@ def exchange_reduce(ds, key_col: str, fn, num_buckets: int | None = None):
     cluster-CPU default, capped at one bucket per ~64k input rows (the
     row count comes free from the RefBundle metadata) — a 2k-row input
     runs ONE reduce task instead of paying 32 tasks of fixed overhead,
-    while anything big enough to care still gets the full fan-out."""
+    while anything big enough to care still gets the full fan-out.
+
+    ``spill``: run the exchange through disk instead of plasma, for
+    inputs comparable to the object store (the in-plasma exchange holds
+    input blocks + sorted splits, ~2x the data, and ENOSPCs the raylet
+    spill on a disk-tight host). One streaming pass lands the rows as
+    parquet partitioned by bucket (``num_buckets`` or the cluster-CPU
+    default, no row cap), one task per bucket reduces exactly its
+    bucket's files, and the landing is freed once those tasks finish:
+    peak disk = input + one landed copy. With ``spill.phases`` > 1,
+    phase p lands and reduces only buckets with ``bucket % phases ==
+    p`` (one more read of ``ds`` per phase), so peak disk = input +
+    landed/phases and results are unchanged. ``after_land`` runs once
+    the last landing has committed — the last read of ``ds`` — so a
+    caller can free a disk-tight input there."""
+    if spill is not None:
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        P = num_buckets or _default_buckets()
+
+        @ray.remote(num_cpus=_reduce_cpus())
+        def reduce_dir(path: str):
+            t = pq.read_table(path)
+            if "__bkt" in t.column_names:
+                t = t.drop_columns(["__bkt"])
+            return fn(t.combine_chunks())
+
+        outs = []
+        for ph in range(spill.phases):
+
+            def add_bkt(t: pa.Table, _ph=ph) -> pa.Table:
+                if t.num_rows == 0 or key_col not in t.column_names:
+                    return t
+                b = _bucket_of(t, key_col, P)
+                if spill.phases > 1:
+                    m = (b % spill.phases) == _ph
+                    t, b = t.filter(pa.array(m)), b[m]
+                return t.append_column("__bkt", pa.array(b, pa.int64()))
+
+            name = f"exchange_p{ph}"
+            sub = spill.write(
+                ds.map_batches(add_bkt, batch_format="pyarrow"),
+                name,
+                partition_cols=["__bkt"],
+            )
+            if after_land is not None and ph == spill.phases - 1:
+                after_land()  # last read of ds is done
+            ph_outs = [
+                reduce_dir.remote(os.path.join(sub, d))
+                for d in sorted(os.listdir(sub))
+                if d.startswith("__bkt=")
+            ]
+            spill.free_after(ph_outs, name)
+            outs.extend(ph_outs)
+        if not outs:
+            return rd.from_arrow(fn(pa.table({})))
+        return rd.from_arrow_refs(outs)
+
     from .blocks import arrow_block_refs_with_rows
 
     refs, total_rows = arrow_block_refs_with_rows(ds)
@@ -152,129 +318,3 @@ def exchange_reduce(ds, key_col: str, fn, num_buckets: int | None = None):
 
     return rd.from_arrow_refs(outs)
 
-
-def exchange_reduce_spill(
-    ds,
-    key_col: str,
-    fn,
-    spill_dir: str,
-    num_buckets: int | None = None,
-    reduce_num_cpus: float = 2,
-    after_land=None,
-    phases: int = 1,
-):
-    """Disk-backed :func:`exchange_reduce` for inputs comparable to (or
-    larger than) the object store — e.g. 10^8 embedding rows, where the
-    in-plasma exchange holds input blocks + sorted splits (~2× the
-    data) and ENOSPCs the raylet spill on a disk-tight host.
-
-    Shape: ONE streaming pass lands the rows as PARTITIONED parquet
-    (``partition_cols=[__bkt]``, bucket = key % P) under a capped
-    landing budget (the r4 ``sig_spill_dir`` backpressure pattern —
-    25% of the smallest node's store), then one reduce task per bucket
-    reads exactly its bucket's files straight from disk and runs
-    ``fn`` over the concatenated bucket. Plasma never holds the
-    shuffle; peak disk = input + one landed copy. This is also the
-    10^12-row shape: at that scale every all-to-all goes through
-    disk/DFS anyway, and the landed form is resumable.
-
-    Same contract as ``exchange_reduce``: integer ``key_col``, all rows
-    of a key in one bucket, ``fn`` vectorized per bucket. Size
-    ``num_buckets`` so one bucket (~rows/P) fits a worker's heap.
-
-    ``after_land``: optional callable invoked once the LAST landing
-    write has fully committed (before its reduces run). The landing is
-    the final read of ``ds``, so a caller on a disk-tight single
-    volume can free the input here. On a real cluster the landed copy
-    lives on DFS and this hook is a no-op.
-
-    ``phases``: split-phase execution for volumes that cannot hold
-    input + one full landed copy. Phase p lands ONLY buckets with
-    ``bucket % phases == p`` (one extra streaming read of ``ds`` per
-    phase), reduces them, then deletes that phase's landed files
-    before the next phase starts — peak disk = input + landed/phases.
-    Results are identical for any ``phases``: bucket membership is a
-    pure function of the key, so each phase is a disjoint, complete
-    set of buckets.
-    """
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ray.data._internal.execution.interfaces.execution_options import (
-        ExecutionResources,
-    )
-
-    P = num_buckets or _default_buckets()
-    phases = max(1, int(phases))
-    store = None
-    try:
-        if ray.is_initialized():
-            sizes = [
-                n["Resources"]["object_store_memory"]
-                for n in ray.nodes()
-                if n.get("Alive")
-                and n.get("Resources", {}).get("object_store_memory")
-            ]
-            if sizes:
-                store = min(sizes)
-    except Exception:
-        pass
-
-    @ray.remote(num_cpus=reduce_num_cpus)
-    def reduce_dir(path: str):
-        t = pq.read_table(path)
-        if "__bkt" in t.column_names:
-            t = t.drop_columns(["__bkt"])
-        return fn(t.combine_chunks())
-
-    all_outs = []
-    for ph in range(phases):
-        sub = os.path.join(spill_dir, f"_sod_exchange_p{ph}")
-        shutil.rmtree(sub, ignore_errors=True)
-        os.makedirs(sub, exist_ok=True)
-
-        def add_bkt(t: pa.Table, _ph=ph) -> pa.Table:
-            if t.num_rows == 0 or key_col not in t.column_names:
-                return t
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            b = (k.astype(np.int64, copy=False) % P + P) % P
-            if phases > 1:
-                m = (b % phases) == _ph
-                t = t.filter(pa.array(m))
-                b = b[m]
-            return t.append_column("__bkt", pa.array(b, pa.int64()))
-
-        routed = ds.map_batches(add_bkt, batch_format="pyarrow")
-        opts = getattr(
-            routed, "context", rd.DataContext.get_current()
-        ).execution_options
-        prev = opts.resource_limits
-        try:
-            if store:
-                opts.resource_limits = ExecutionResources(
-                    object_store_memory=int(store * 0.25)
-                )
-            routed.write_parquet(sub, partition_cols=["__bkt"])
-        finally:
-            opts.resource_limits = prev
-        if after_land is not None and ph == phases - 1:
-            after_land()  # last read of ds is done
-
-        bucket_dirs = sorted(
-            os.path.join(sub, d)
-            for d in os.listdir(sub)
-            if d.startswith("__bkt=")
-        )
-        outs = [reduce_dir.remote(p) for p in bucket_dirs]
-        if outs and phases > 1:
-            # the landed files must outlive their reduces; block, then
-            # free this phase's landing before the next phase writes
-            ray.wait(outs, num_returns=len(outs), fetch_local=False)
-            shutil.rmtree(sub, ignore_errors=True)
-        all_outs.extend(outs)
-    if not all_outs:
-        return rd.from_arrow(fn(pa.table({})))
-    return rd.from_arrow_refs(all_outs)

@@ -471,12 +471,38 @@ def range_join_broadcast(ds, ranges: pd.DataFrame, value_col: str, lo_col: str =
     return ds.map_batches(range_probe, batch_format="pyarrow")
 
 
+def _arrow_schema(ds) -> pa.Schema:
+    # pandas-block upstreams (e.g. map_groups) report a
+    # PandasBlockSchema; normalize so empty-piece schemas are Arrow
+    base = ds.schema().base_schema
+    if isinstance(base, pa.Schema):
+        return base
+    return ds.map_batches(
+        lambda t: t, batch_format="pyarrow"
+    ).schema().base_schema
+
+
+def _join_bucket_of(t: pa.Table, key: str, P: int) -> np.ndarray:
+    """Bucket of every row: hash64(key as string) % P, with NULL keys
+    routed by a sentinel (they never match, wherever they land)."""
+    from ..state.sketches import hash64
+
+    keys = t[key]
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    return (
+        hash64(pc.fill_null(keys.cast(pa.string()), "\x00__null__"))
+        % np.uint64(P)
+    ).astype(np.int64)
+
+
 def bucketed_equi_join(
     left_ds,
     right_ds,
     key: str,
     num_buckets: int | None = None,
     join_type: str = "inner",
+    spill=None,
 ):
     """Both-sides-large hash equi-join: EXPLICIT hash-bucket exchange
     with raw Ray tasks — the same shape as
@@ -500,25 +526,77 @@ def bucketed_equi_join(
     ``num_buckets=None`` sizes the fan-out to the data (64, capped at
     one bucket per ~64k rows of the larger side — free from RefBundle
     metadata), so a 2k-row join runs one task instead of 64.
+
+    ``spill`` (an ``exchange.Spill``): for joins whose working set
+    (both sides + their in-plasma splits, ~2x each) rivals the object
+    store — a 60M-doc near-dup verify spilled past the raylet disk
+    monitor through the in-plasma exchange. Each side streams once
+    into parquet partitioned by the same bucket routing, one task per
+    bucket joins its two bucket dirs read from disk, and both landings
+    are freed once those tasks finish. ``num_buckets=None`` sizes the
+    fan-out at ~1.5M rows of the larger side per task (one ``count``
+    of each side). ``spill.phases`` does not apply to joins.
     """
     import ray
     import ray.data as rd
 
-    from ..state.sketches import hash64
     from .blocks import arrow_block_refs_with_rows
-
-    def _arrow_schema(ds):
-        # pandas-block upstreams (e.g. map_groups) report a
-        # PandasBlockSchema; normalize so empty-piece schemas are Arrow
-        base = ds.schema().base_schema
-        if isinstance(base, pa.Schema):
-            return base
-        return ds.map_batches(
-            lambda t: t, batch_format="pyarrow"
-        ).schema().base_schema
 
     left_schema = _arrow_schema(left_ds)
     right_schema = _arrow_schema(right_ds)
+    if spill is not None:
+        import os
+
+        import pyarrow.parquet as pq
+
+        from .exchange import _reduce_cpus
+
+        if num_buckets is None:
+            try:
+                big = max(left_ds.count(), right_ds.count())
+            except Exception:
+                big = None
+            P = max(8, -(-big // 1_500_000)) if big else 32
+        else:
+            P = num_buckets
+
+        def add_bkt(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0 or key not in t.column_names:
+                return t
+            return t.append_column(
+                "__bkt", pa.array(_join_bucket_of(t, key, P), pa.int64())
+            )
+
+        lpath, rpath = (
+            spill.write(
+                side.map_batches(add_bkt, batch_format="pyarrow"),
+                name,
+                partition_cols=["__bkt"],
+            )
+            for side, name in ((left_ds, "join_l"), (right_ds, "join_r"))
+        )
+
+        @ray.remote(num_cpus=_reduce_cpus())
+        def join_dir(p: int) -> pa.Table:
+            def read(path, schema):
+                d = os.path.join(path, f"__bkt={p}")
+                if not os.path.isdir(d):
+                    return schema.empty_table()
+                t = pq.read_table(d)
+                if "__bkt" in t.column_names:
+                    t = t.drop_columns(["__bkt"])
+                # parquet round-trip can relax/narrow nullability or drop
+                # fields absent in some files; realign to the side's schema
+                return t.select(schema.names).cast(schema)
+
+            lt = read(lpath, left_schema)
+            rt = read(rpath, right_schema)
+            return lt.join(rt, keys=key, join_type=join_type)
+
+        outs = [join_dir.remote(p) for p in range(P)]
+        spill.free_after(outs, "join_l", "join_r")
+        return rd.from_arrow_refs(outs)
+
     left_refs, left_rows = arrow_block_refs_with_rows(left_ds)
     right_refs, right_rows = arrow_block_refs_with_rows(right_ds)
     if num_buckets is None:
@@ -535,15 +613,7 @@ def bucketed_equi_join(
         if key not in t.column_names:  # schema-less empty block upstream
             empty = schema.empty_table()
             return tuple(empty for _ in range(P))
-        keys = t[key]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        import pyarrow.compute as pc
-
-        h = (
-            hash64(pc.fill_null(keys.cast(pa.string()), "\x00__null__"))
-            % np.uint64(P)
-        ).astype(np.int64)
+        h = _join_bucket_of(t, key, P)
         order = np.argsort(h, kind="stable")
         bounds = np.searchsorted(h[order], np.arange(P + 1))
         return tuple(
@@ -588,130 +658,3 @@ def bucketed_equi_join(
     ]
     return rd.from_arrow_refs(buckets)
 
-def bucketed_equi_join_spill(
-    left_ds,
-    right_ds,
-    key: str,
-    spill_dir: str,
-    num_buckets: int | None = None,
-    join_type: str = "inner",
-    reduce_num_cpus: float = 2,
-):
-    """Disk-backed :func:`bucketed_equi_join` — the join counterpart of
-    ``exchange.exchange_reduce_spill``, for joins whose working set
-    (both sides + their in-plasma splits, ~2× each) rivals the object
-    store. A 60M-doc near-dup verify (tens of millions of candidate
-    pairs × a 10-GB endpoint-filtered signature table) spilled past the
-    raylet disk monitor through the in-plasma exchange and OOM-killed
-    the native hash-join aggregators — this path bounds plasma at one
-    bucket per task.
-
-    Each side streams ONCE into partitioned parquet
-    (``partition_cols=["__bkt"]``, bucket = hash64(key-as-string) % P —
-    the same null-sentinel routing as the in-plasma path) under a
-    capped landing budget; one task per bucket reads exactly its two
-    bucket dirs from disk and runs the local Arrow hash join. Identical
-    results to ``bucketed_equi_join`` (parity-tested). Same hot-key
-    contract: one bucket's rows from BOTH sides must fit one worker.
-    """
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from ..state.sketches import hash64
-
-    # size the fan-out for disk reads: ~1.5M rows of the larger side
-    # per bucket task
-    big = None
-    if num_buckets is None:
-        try:
-            big = max(left_ds.count(), right_ds.count())
-        except Exception:
-            big = None
-        P = max(8, -(-big // 1_500_000)) if big else 32
-    else:
-        P = num_buckets
-
-    def add_bkt(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or key not in t.column_names:
-            return t.slice(0, 0) if key in t.column_names else t
-        keys = t[key]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        h = (
-            hash64(pc.fill_null(keys.cast(pa.string()), "\x00__null__"))
-            % np.uint64(P)
-        ).astype(np.int64)
-        return t.append_column("__bkt", pa.array(h, pa.int64()))
-
-    def land(ds, sub):
-        path = os.path.join(spill_dir, sub)
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        routed = ds.map_batches(add_bkt, batch_format="pyarrow")
-        opts = getattr(
-            routed, "context", rd.DataContext.get_current()
-        ).execution_options
-        prev = opts.resource_limits
-        store = None
-        try:
-            if ray.is_initialized():
-                sizes = [
-                    n["Resources"]["object_store_memory"]
-                    for n in ray.nodes()
-                    if n.get("Alive")
-                    and n.get("Resources", {}).get("object_store_memory")
-                ]
-                if sizes:
-                    store = min(sizes)
-        except Exception:
-            pass
-        from ray.data._internal.execution.interfaces.execution_options import (
-            ExecutionResources,
-        )
-
-        try:
-            if store:
-                opts.resource_limits = ExecutionResources(
-                    object_store_memory=int(store * 0.25)
-                )
-            routed.write_parquet(path, partition_cols=["__bkt"])
-        finally:
-            opts.resource_limits = prev
-        return path
-
-    def _arrow_schema(ds):
-        base = ds.schema().base_schema
-        if isinstance(base, pa.Schema):
-            return base
-        return ds.map_batches(
-            lambda t: t, batch_format="pyarrow"
-        ).schema().base_schema
-
-    left_schema = _arrow_schema(left_ds)
-    right_schema = _arrow_schema(right_ds)
-    lpath = land(left_ds, "_sod_join_l")
-    rpath = land(right_ds, "_sod_join_r")
-
-    @ray.remote(num_cpus=reduce_num_cpus)
-    def join_dir(p: int) -> pa.Table:
-        def read(path, schema):
-            d = os.path.join(path, f"__bkt={p}")
-            if not os.path.isdir(d):
-                return schema.empty_table()
-            t = pq.read_table(d)
-            if "__bkt" in t.column_names:
-                t = t.drop_columns(["__bkt"])
-            # parquet round-trip can relax/narrow nullability or drop
-            # fields absent in some files; realign to the side's schema
-            return t.select(schema.names).cast(schema)
-
-        lt = read(lpath, left_schema)
-        rt = read(rpath, right_schema)
-        return lt.join(rt, keys=key, join_type=join_type)
-
-    out = rd.from_arrow_refs([join_dir.remote(p) for p in range(P)])
-    return out

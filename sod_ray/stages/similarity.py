@@ -548,21 +548,21 @@ def semdedup_drop_ids_twolevel(
     seed: int = 5,
     kmeans_iters: int = 6,
     probe_margin: float = 0.02,
-    spill_dir: str | None = None,
+    spill=None,
     after_land=None,
-    spill_phases: int = 1,
     n_super: int | None = None,
 ):
     """Two-level (centroid-sharded) SemDedup — the 10^8-vector scale
     path of :func:`semdedup_drop_ids`.
 
-    ``spill_dir``: when the corpus is comparable to the object store
-    (10^8 × 64d ≈ 26 GB vs a 37 GB store), the in-plasma exchange
-    holds blocks + sorted splits (~2× the data) and ENOSPCs a
-    disk-tight host's raylet spill (measured). Pointing ``spill_dir``
-    at a scratch path routes the shard exchange through
-    ``exchange_reduce_spill`` — partitioned-parquet landing, one
-    bucket read per reduce task, plasma never holds the shuffle.
+    ``spill`` (an ``exchange.Spill``): when the corpus is comparable
+    to the object store (10^8 × 64d ≈ 26 GB vs a 37 GB store), the
+    in-plasma exchange holds blocks + sorted splits (~2× the data) and
+    ENOSPCs a disk-tight host's raylet spill (measured). With
+    ``spill`` the shard exchange runs disk-backed (partitioned-parquet
+    landing, one bucket read per reduce task, plasma never holds the
+    shuffle); ``after_land`` runs once the landing has read ``ds`` for
+    the last time, so a caller can free its own input there.
 
     Why the single-level shape stalls at 10^8: paper-faithful cluster
     sizes need K ~ n/1k clusters, and EITHER the assignment matmul is
@@ -631,7 +631,7 @@ def semdedup_drop_ids_twolevel(
     flat default (100M×64d: 676.5 s hier vs 607.9 s flat, recall
     0.9999 vs 0.9996).
     """
-    from .exchange import exchange_reduce, exchange_reduce_spill
+    from .exchange import exchange_reduce
 
     total = None
     if n_top is None:
@@ -797,19 +797,12 @@ def semdedup_drop_ids_twolevel(
             {"node": pa.array(np.concatenate(dropped), pa.int64())}
         )
 
-    if spill_dir is not None:
-        if num_buckets is None:
-            if total is None:
-                total = ds.count()
-            # ~1.5M rows (≈400 MB of routed vec rows) per bucket read
-            num_buckets = max(32, -(-total // 1_500_000))
-        return exchange_reduce_spill(
-            routed,
-            "__cl",
-            drop_bucket,
-            spill_dir,
-            num_buckets,
-            after_land=after_land,
-            phases=spill_phases,
-        )
-    return exchange_reduce(routed, "__cl", drop_bucket, num_buckets)
+    if spill is not None and num_buckets is None:
+        if total is None:
+            total = ds.count()
+        # ~1.5M rows (≈400 MB of routed vec rows) per bucket read
+        num_buckets = max(32, -(-total // 1_500_000))
+    return exchange_reduce(
+        routed, "__cl", drop_bucket, num_buckets,
+        spill=spill, after_land=after_land,
+    )

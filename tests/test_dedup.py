@@ -144,41 +144,66 @@ def test_minhash_large_path_parity(ray_session, doc_table):
 
 
 def test_minhash_sig_spill_dir_parity(ray_session, doc_table, tmp_path):
-    """Landing the signature table as parquet (the 10^8+-doc shape —
-    sig bytes exceed the object store and are incompressible) must not
-    change a single pair or estimate vs the in-store large path."""
+    """Landing the signature, band and pruned tables as parquet and
+    running the candidate exchange + verify joins disk-backed (the
+    10^8+-doc shape — sig bytes exceed the object store and are
+    incompressible) must not change a single pair or estimate vs the
+    in-store large path; caller files in the spill dir survive and the
+    signature landing is freed."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import minhash_lsh_dedup
+    from sod_ray.stages.exchange import Spill
 
     instore = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
         small_corpus_rows=1,
     ).to_pandas()
+    sentinel = tmp_path / "sigs" / "precious.txt"
+    sentinel.parent.mkdir()
+    sentinel.write_text("do not delete")
     spilled = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1, sig_spill_dir=str(tmp_path / "sigs"),
+        small_corpus_rows=1, spill=Spill(str(tmp_path / "sigs")),
     ).to_pandas()
     pd.testing.assert_frame_equal(
         instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
         spilled.sort_values(["id_a", "id_b"]).reset_index(drop=True),
     )
-    # and the landed dir is real parquet with the expected columns
-    import pyarrow.parquet as pq
-
-    # files live in a function-owned subdir so a re-run can never
-    # rmtree caller data sitting in the spill_dir itself
-    t = pq.read_table(str(tmp_path / "sigs" / "_sod_sigs"))
-    assert set(t.column_names) == {"doc_id", "sig"} and t.num_rows == len(
-        doc_table
-    )
-    sentinel = tmp_path / "sigs" / "precious.txt"
-    sentinel.write_text("do not delete")
-    minhash_lsh_dedup(
-        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1, sig_spill_dir=str(tmp_path / "sigs"),
-    ).to_pandas()
     assert sentinel.read_text() == "do not delete"
+    assert not (tmp_path / "sigs" / "_sod_sigs").exists()
+
+
+def test_minhash_band_spill_dir_parity(ray_session, doc_table, tmp_path):
+    """A stale band landing left in the spill dir by a killed run (a
+    parquet file of bogus rows under ``_sod_bands``) must be cleared
+    before the MinHash chain lands its own bands: not a single pair
+    changes vs the in-store path, and the landing is freed."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from sod_ray.stages.dedup import minhash_lsh_dedup
+    from sod_ray.stages.exchange import Spill
+
+    instore = minhash_lsh_dedup(
+        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
+        small_corpus_rows=1,
+    ).to_pandas()
+    stale = tmp_path / "bands" / "_sod_bands"
+    stale.mkdir(parents=True)
+    pq.write_table(
+        pa.table({"bogus": pa.array(["left over"] * 10)}),
+        str(stale / "stale.parquet"),
+    )
+    spilled = minhash_lsh_dedup(
+        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
+        small_corpus_rows=1, spill=Spill(str(tmp_path / "bands")),
+    ).to_pandas()
+    pd.testing.assert_frame_equal(
+        instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
+        spilled.sort_values(["id_a", "id_b"]).reset_index(drop=True),
+    )
+    assert not stale.exists()
 
 
 def test_connected_components_distributed(ray_session):
@@ -710,12 +735,13 @@ def test_embedding_neardup_large_path_parity(ray_session):
 
 
 def test_embedding_neardup_vec_spill_parity(ray_session, tmp_path):
-    """vec_spill_dir (normalized vectors landed as parquet instead of
-    store-pinned — the sig_spill_dir idea for embeddings) must yield
-    the identical pair set and cosines as the materialized large path."""
+    """A spill (normalized vectors landed as parquet instead of
+    store-pinned, plus every later landing) must yield the identical
+    pair set and cosines as the materialized large path."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import embedding_neardup
+    from sod_ray.stages.exchange import Spill
 
     rng = np.random.default_rng(22)
     d = 24
@@ -743,7 +769,7 @@ def test_embedding_neardup_vec_spill_parity(ray_session, tmp_path):
     ).to_pandas()
     spill = embedding_neardup(
         ds, "embedding", "vec_id", threshold=0.99, small_corpus_rows=1,
-        vec_spill_dir=str(tmp_path / "vecs"),
+        spill=Spill(str(tmp_path / "vecs")),
     ).to_pandas()
     m = {tuple(sorted(p)) for p in zip(mat["id_a"], mat["id_b"])}
     sp = {tuple(sorted(p)) for p in zip(spill["id_a"], spill["id_b"])}
@@ -1028,38 +1054,6 @@ def test_simhash_dedup_128_cliques_guarantee(ray_session):
     assert want and found == want
 
 
-def test_simhash_dedup_band_spill_dir_parity(ray_session, doc_table, tmp_path):
-    """band_spill_dir (band rows parquet-landed instead of store-pinned)
-    must yield the exact same pair set + hamming values as the default
-    in-store path — the 10^8-doc shape, parity-pinned small."""
-    import ray.data as rd
-
-    from sod_ray.stages.dedup import simhash_dedup
-
-    base = (
-        simhash_dedup(
-            rd.from_arrow(doc_table), "text", "doc_id",
-            max_hamming=6, sig_bits=128, table_design="cliques",
-        )
-        .to_pandas()
-        .sort_values(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
-    spilled = (
-        simhash_dedup(
-            rd.from_arrow(doc_table), "text", "doc_id",
-            max_hamming=6, sig_bits=128, table_design="cliques",
-            band_spill_dir=str(tmp_path / "bands"),
-        )
-        .to_pandas()
-        .sort_values(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
-    assert base.equals(spilled)
-    # the landed table lives in a function-owned subdir of the caller path
-    assert (tmp_path / "bands" / "_sod_bands").exists()
-
-
 def test_simhash_dedup_128_triples_guarantee(ray_session):
     """table_design='triples' (disjoint cliques 3/3/2, 7 tables) must
     find EVERY pair within hamming<=4: <=4 flips leave >=4 clean
@@ -1133,63 +1127,6 @@ def test_prune_singleton_large_path_parity(ray_session, doc_table, monkeypatch):
         .reset_index(drop=True)
     )
     assert base.equals(forced)
-
-
-def test_minhash_band_spill_dir_parity(ray_session, doc_table, tmp_path):
-    """band_spill_dir on the MinHash chain (band table parquet-landed —
-    bands x ~20 B/doc nearly fills a node's store at 10^8 x 16) must
-    not change a single pair vs the in-store path."""
-    import ray.data as rd
-
-    from sod_ray.stages.dedup import minhash_lsh_dedup
-
-    instore = minhash_lsh_dedup(
-        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,
-    ).to_pandas()
-    spilled = minhash_lsh_dedup(
-        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1, band_spill_dir=str(tmp_path / "bands"),
-    ).to_pandas()
-    pd.testing.assert_frame_equal(
-        instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
-        spilled.sort_values(["id_a", "id_b"]).reset_index(drop=True),
-    )
-    assert (tmp_path / "bands" / "_sod_bands").exists()
-
-
-def test_embedding_band_spill_dir_parity(ray_session, tmp_path):
-    """band_spill_dir on embedding near-dup must not change a pair."""
-    import ray.data as rd
-
-    from sod_ray.stages.dedup import embedding_neardup
-
-    rng = np.random.default_rng(4)
-    base = rng.normal(size=16)
-    vecs = [base, base + rng.normal(scale=0.01, size=16)] + [
-        rng.normal(size=16) for _ in range(40)
-    ]
-    t = pa.table(
-        {
-            "vec_id": pa.array(range(len(vecs)), pa.int64()),
-            "embedding": pa.array(
-                [v.tolist() for v in vecs], pa.list_(pa.float64())
-            ),
-        }
-    )
-    instore = embedding_neardup(
-        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98,
-    ).to_pandas()
-    spilled = embedding_neardup(
-        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98,
-        band_spill_dir=str(tmp_path / "ebands"),
-    ).to_pandas()
-    cols = ["id_a", "id_b"]
-    pd.testing.assert_frame_equal(
-        instore.sort_values(cols).reset_index(drop=True),
-        spilled.sort_values(cols).reset_index(drop=True),
-    )
-    assert (tmp_path / "ebands" / "_sod_bands").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1371,14 +1308,14 @@ def test_winnow_overlap_sampled_verify_matches_exact(ray_session):
 def test_exchange_reduce_spill_parity_and_phases(ray_session, tmp_path):
     """Disk-backed exchange (partitioned-parquet landing) matches the
     in-plasma exchange for any phase count; after_land fires exactly
-    once, after the final landing; landed phase dirs are cleaned."""
+    once, after the final landing; landed phase dirs are freed."""
     import os
 
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
-    from sod_ray.stages.exchange import exchange_reduce, exchange_reduce_spill
+    from sod_ray.stages.exchange import Spill, exchange_reduce
 
     rows = [{"k": i % 13, "v": i} for i in range(3000)]
     ds = rd.from_items(rows).repartition(6)
@@ -1405,30 +1342,218 @@ def test_exchange_reduce_spill_parity_and_phases(ray_session, tmp_path):
     for phases in (1, 3):
         fired = []
         got = (
-            exchange_reduce_spill(
-                ds, "k", per_bucket, str(tmp_path / f"sp{phases}"),
-                num_buckets=4, phases=phases,
+            exchange_reduce(
+                ds, "k", per_bucket, num_buckets=4,
+                spill=Spill(str(tmp_path / f"sp{phases}"), phases=phases),
                 after_land=lambda: fired.append(1),
             )
             .to_pandas().sort_values("k").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want)
         assert fired == [1]
-        if phases > 1:  # phase dirs freed before the next phase
-            left = [
-                d for d in os.listdir(tmp_path / f"sp{phases}")
-                if d.startswith("_sod_exchange")
-            ]
-            assert left == []
+        # every phase dir is freed once its reduces finish
+        left = [
+            d for d in os.listdir(tmp_path / f"sp{phases}")
+            if d.startswith("_sod_exchange")
+        ]
+        assert left == []
 
-def test_simhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
-    """exchange_spill_dir (pruned rows parquet-landed + the verify
-    exchange through exchange_reduce_spill, split-phase) must yield the
+
+def test_spill_land_round_trip(ray_session, tmp_path):
+    """exchange.land keeps every row and the schema, lives in a
+    function-owned ``_sod_<name>`` subdir (re-landing clears it; it
+    never touches caller files next to it) and Spill.free removes it."""
+    import os
+
+    import ray.data as rd
+
+    from sod_ray.stages.exchange import Spill, land
+
+    t = pa.table(
+        {
+            "doc_id": pa.array(np.arange(500), pa.int64()),
+            "sig": pa.array(
+                [np.full(4, i, np.uint64).tobytes() for i in range(500)],
+                pa.binary(),
+            ),
+        }
+    )
+    sentinel = tmp_path / "precious.txt"
+    sentinel.write_text("do not delete")
+    sp = Spill(str(tmp_path))
+    for _ in range(2):  # the second landing replaces the first
+        back = land(rd.from_arrow(t).repartition(3), sp, "sigs")
+        got = pa.concat_tables(
+            back.iter_batches(batch_format="pyarrow")
+        ).sort_by("doc_id")
+        assert got.schema == t.schema
+        assert got.equals(t)
+    assert os.path.isdir(tmp_path / "_sod_sigs")
+    sp.free("sigs")
+    assert not (tmp_path / "_sod_sigs").exists()
+    assert sentinel.read_text() == "do not delete"
+    with pytest.raises(ValueError):
+        Spill(str(tmp_path), phases=0)
+
+
+def _spill_corpus(n=200):
+    rng = np.random.default_rng(41)
+    vocab = [f"tok{i}" for i in range(4000)]
+    texts = [" ".join(rng.choice(vocab, size=80)) for _ in range(n)]
+    texts[150] = texts[5]  # copy
+    texts[151] = " ".join(rng.choice(vocab, size=10)) + " " + texts[9][:300]
+    vecs = rng.normal(size=(n, 16))
+    vecs[150] = vecs[5] + 0.001 * rng.normal(size=16)
+    return pa.table(
+        {
+            "doc_id": pa.array(np.arange(n), pa.int64()),
+            "text": pa.array(texts, pa.string()),
+            "embedding": pa.FixedSizeListArray.from_arrays(
+                pa.array(vecs.reshape(-1), pa.float32()), 16
+            ),
+        }
+    )
+
+
+def _run_minhash(ds, spill):
+    from sod_ray.stages.dedup import minhash_lsh_dedup
+
+    return minhash_lsh_dedup(
+        ds, "text", "doc_id", jaccard_threshold=0.5, small_corpus_rows=1,
+        spill=spill,
+    )
+
+
+def _run_simhash(ds, spill):
+    from sod_ray.stages.dedup import simhash_dedup
+
+    return simhash_dedup(ds, "text", "doc_id", spill=spill)
+
+
+def _run_embedding(ds, spill):
+    from sod_ray.stages.dedup import embedding_neardup
+
+    return embedding_neardup(
+        ds, "embedding", "doc_id", threshold=0.99, spill=spill
+    )
+
+
+def _run_winnow_pairs(ds, spill):
+    from sod_ray.stages.dedup import winnow_overlap_pairs_ds
+
+    return winnow_overlap_pairs_ds(
+        ds, k=8, w=16, min_shared=8, max_df=64, fp_sample=2, spill=spill
+    )
+
+
+def _run_winnow_drops(ds, spill):
+    from sod_ray.stages.dedup import winnow_overlap_drop_ids
+
+    return winnow_overlap_drop_ids(
+        ds, k=8, w=16, min_shared=8, max_df=64, spill=spill
+    )
+
+
+def _run_semdedup(ds, spill):
+    from sod_ray.stages.similarity import semdedup_drop_ids_twolevel
+
+    return semdedup_drop_ids_twolevel(
+        ds, "embedding", "doc_id", n_top=2, target_cluster_rows=50,
+        threshold=0.99, spill=spill,
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _run_minhash,
+        _run_simhash,
+        _run_embedding,
+        _run_winnow_pairs,
+        _run_winnow_drops,
+        _run_semdedup,
+    ],
+    ids=["minhash", "simhash", "embedding", "winnow_pairs", "winnow_drops",
+         "semdedup"],
+)
+def test_spill_frees_every_landing(ray_session, tmp_path, run):
+    """Every near-dup entry point frees all of its ``_sod_*`` landings
+    by the time it returns, leaves caller files in the spill dir alone,
+    and its result stays readable afterwards."""
+    import os
+
+    import ray.data as rd
+
+    from sod_ray.stages.exchange import Spill
+
+    sentinel = tmp_path / "precious.txt"
+    sentinel.write_text("do not delete")
+    out = run(rd.from_arrow(_spill_corpus()), Spill(str(tmp_path)))
+    assert [d for d in os.listdir(tmp_path) if d.startswith("_sod_")] == []
+    assert sentinel.read_text() == "do not delete"
+    rows = out.num_rows if isinstance(out, pa.Table) else out.count()
+    assert rows >= 1  # the planted copy is found
+
+
+_ONE_CPU_SCRIPT = r"""
+import tempfile
+
+import numpy as np
+import pyarrow as pa
+import ray
+import ray.data as rd
+
+from sod_ray.stages.exchange import Spill, exchange_reduce
+from sod_ray.stages.joins import bucketed_equi_join
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=200 << 20)
+rd.DataContext.get_current().enable_progress_bars = False
+sp = Spill(tempfile.mkdtemp())
+k = np.arange(300) % 17
+left = rd.from_arrow(pa.table({"k": k, "v": np.arange(300)}))
+right = rd.from_arrow(pa.table({"k": np.arange(17), "w": np.arange(17)}))
+n = exchange_reduce(left, "k", lambda t: t, num_buckets=4, spill=sp).count()
+j = bucketed_equi_join(left, right, "k", num_buckets=4, spill=sp).count()
+print("RESULT", n, j)
+"""
+
+
+def test_disk_tier_runs_on_one_cpu():
+    """The disk-backed exchange and join must schedule on a 1-CPU node
+    (their reduce tasks used to request 2 CPUs and hang forever)."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child and its Ray daemons
+        proc.communicate()
+        pytest.fail("disk-backed exchange/join hung on a 1-CPU node")
+    assert proc.returncode == 0, err[-2000:]
+    assert "RESULT 300 300" in out
+
+
+def test_simhash_spill_two_phase_parity(ray_session, doc_table, tmp_path):
+    """A split-phase spill (band + pruned rows parquet-landed, the
+    verify exchange disk-backed in two phases) must yield the
     exact same pair set + hamming values as the in-plasma exchange —
     the 10^9-doc shape, parity-pinned small."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import simhash_dedup
+    from sod_ray.stages.exchange import Spill
 
     base = (
         simhash_dedup(
@@ -1443,7 +1568,7 @@ def test_simhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
         simhash_dedup(
             rd.from_arrow(doc_table), "text", "doc_id",
             max_hamming=6, sig_bits=128, table_design="cliques",
-            exchange_spill_dir=str(tmp_path / "ex"), exchange_phases=2,
+            spill=Spill(str(tmp_path / "ex"), phases=2),
         )
         .to_pandas()
         .sort_values(["id_a", "id_b"])
@@ -1454,12 +1579,14 @@ def test_simhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
     assert not (tmp_path / "ex" / "_sod_pruned").exists()
 
 
-def test_minhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
-    """exchange_spill_dir on the MinHash chain (candidate-emission
-    exchange via disk-backed buckets) must not change a single pair."""
+def test_minhash_spill_two_phase_parity(ray_session, doc_table, tmp_path):
+    """A split-phase spill on the MinHash chain (candidate-emission
+    exchange via disk-backed buckets in two phases) must not change a
+    single pair."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import minhash_lsh_dedup
+    from sod_ray.stages.exchange import Spill
 
     instore = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
@@ -1468,7 +1595,7 @@ def test_minhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
     spilled = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
         small_corpus_rows=1,
-        exchange_spill_dir=str(tmp_path / "ex"), exchange_phases=2,
+        spill=Spill(str(tmp_path / "ex"), phases=2),
     ).to_pandas()
     pd.testing.assert_frame_equal(
         instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
@@ -1478,11 +1605,13 @@ def test_minhash_exchange_spill_dir_parity(ray_session, doc_table, tmp_path):
     assert not (tmp_path / "ex" / "_sod_pruned").exists()
 
 
-def test_embedding_exchange_spill_dir_parity(ray_session, tmp_path):
-    """exchange_spill_dir on embedding near-dup must not change a pair."""
+def test_embedding_band_spill_dir_parity(ray_session, tmp_path):
+    """A spill on embedding near-dup must not change a pair, and the
+    band landing is freed."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import embedding_neardup
+    from sod_ray.stages.exchange import Spill
 
     rng = np.random.default_rng(4)
     base = rng.normal(size=16)
@@ -1502,16 +1631,54 @@ def test_embedding_exchange_spill_dir_parity(ray_session, tmp_path):
     ).to_pandas()
     spilled = embedding_neardup(
         rd.from_arrow(t), "embedding", "vec_id", threshold=0.98,
-        exchange_spill_dir=str(tmp_path / "ex"),
+        spill=Spill(str(tmp_path / "ebands")),
     ).to_pandas()
     cols = ["id_a", "id_b"]
     pd.testing.assert_frame_equal(
         instore.sort_values(cols).reset_index(drop=True),
         spilled.sort_values(cols).reset_index(drop=True),
     )
+    assert not (tmp_path / "ebands" / "_sod_bands").exists()
 
-def test_winnow_overlap_exchange_spill_dir_parity(ray_session, tmp_path):
-    """exchange_spill_dir on the winnow-overlap chain (slim fp table
+
+def test_embedding_exchange_spill_dir_parity(ray_session, tmp_path):
+    """A two-phase spill on embedding near-dup (each candidate exchange
+    split over two disk phases) must not change a pair."""
+    import ray.data as rd
+
+    from sod_ray.stages.dedup import embedding_neardup
+    from sod_ray.stages.exchange import Spill
+
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=16)
+    vecs = [base, base + rng.normal(scale=0.01, size=16)] + [
+        rng.normal(size=16) for _ in range(40)
+    ]
+    t = pa.table(
+        {
+            "vec_id": pa.array(range(len(vecs)), pa.int64()),
+            "embedding": pa.array(
+                [v.tolist() for v in vecs], pa.list_(pa.float64())
+            ),
+        }
+    )
+    instore = embedding_neardup(
+        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98,
+    ).to_pandas()
+    spilled = embedding_neardup(
+        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98,
+        spill=Spill(str(tmp_path / "ex"), phases=2),
+    ).to_pandas()
+    cols = ["id_a", "id_b"]
+    pd.testing.assert_frame_equal(
+        instore.sort_values(cols).reset_index(drop=True),
+        spilled.sort_values(cols).reset_index(drop=True),
+    )
+    assert (0, 1) in set(zip(spilled["id_a"], spilled["id_b"]))
+
+
+def test_winnow_overlap_spill_parity(ray_session, tmp_path):
+    """A spill on the winnow-overlap chain (slim fp table
     parquet-landed + both exchanges disk-backed, split-phase) must
     return the exact same (pair, count) set as the in-plasma path, in
     both the exact and the sampled-candidacy modes."""
@@ -1519,6 +1686,7 @@ def test_winnow_overlap_exchange_spill_dir_parity(ray_session, tmp_path):
     import ray.data as rd
 
     from sod_ray.stages.dedup import winnow_overlap_pairs_ds
+    from sod_ray.stages.exchange import Spill
 
     rng = np.random.default_rng(41)
     vocab = [f"tok{i}" for i in range(4000)]
@@ -1545,21 +1713,53 @@ def test_winnow_overlap_exchange_spill_dir_parity(ray_session, tmp_path):
         spilled = as_map(
             winnow_overlap_pairs_ds(
                 ds, "text", "doc_id", fp_sample=fp_sample,
-                exchange_spill_dir=str(tmp_path / f"wex{fp_sample}"),
-                exchange_phases=2,
+                spill=Spill(str(tmp_path / f"wex{fp_sample}"), phases=2),
                 **kw,
             ).to_pandas()
         )
         assert spilled == base
         assert (5, 150) in spilled
 
-def test_simhash_band_plus_exchange_spill_frees_bands(ray_session, doc_table, tmp_path):
-    """With BOTH band_spill_dir and exchange_spill_dir set, the band
-    landing is freed once the pruned landing commits (its last read)
-    — and the pair set is still identical to the in-plasma path."""
+
+def test_simhash_dedup_band_spill_dir_parity(ray_session, doc_table, tmp_path):
+    """A spill on the 4-table ``matching`` design of the 128-bit SimHash
+    chain must yield the exact same pair set + hamming values as the
+    in-store path, and free its band landing."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import simhash_dedup
+    from sod_ray.stages.exchange import Spill
+
+    kw = dict(max_hamming=3, sig_bits=128, table_design="matching")
+    base = (
+        simhash_dedup(rd.from_arrow(doc_table), "text", "doc_id", **kw)
+        .to_pandas()
+        .sort_values(["id_a", "id_b"])
+        .reset_index(drop=True)
+    )
+    spilled = (
+        simhash_dedup(
+            rd.from_arrow(doc_table), "text", "doc_id",
+            spill=Spill(str(tmp_path / "bands")), **kw,
+        )
+        .to_pandas()
+        .sort_values(["id_a", "id_b"])
+        .reset_index(drop=True)
+    )
+    assert len(base) and base.equals(spilled)
+    assert not (tmp_path / "bands" / "_sod_bands").exists()
+
+
+def test_simhash_band_plus_exchange_spill_frees_bands(ray_session, doc_table, tmp_path):
+    """A spill lands the band rows, the pruned rows and the verify
+    exchange; the band landing is freed once the pruned landing commits
+    (its last read) — and the pair set + hamming values are still
+    identical to the in-plasma path (the 10^8-doc shape, parity-pinned
+    small)."""
+    import ray.data as rd
+
+    from sod_ray.stages.dedup import simhash_dedup
+    from sod_ray.stages.exchange import Spill
 
     base = (
         simhash_dedup(
@@ -1574,8 +1774,7 @@ def test_simhash_band_plus_exchange_spill_frees_bands(ray_session, doc_table, tm
         simhash_dedup(
             rd.from_arrow(doc_table), "text", "doc_id",
             max_hamming=6, sig_bits=128, table_design="cliques",
-            band_spill_dir=str(tmp_path / "sp"),
-            exchange_spill_dir=str(tmp_path / "sp"),
+            spill=Spill(str(tmp_path / "sp")),
         )
         .to_pandas()
         .sort_values(["id_a", "id_b"])

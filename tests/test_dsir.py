@@ -364,6 +364,36 @@ def test_semdedup_twolevel_planted_and_deterministic(ray_session):
     assert run(7) == got
 
 
+def test_semdedup_twolevel_spill_parity(ray_session, tmp_path):
+    """The disk-backed shard exchange (two-phase spill) drops exactly
+    the ids the in-plasma exchange drops, and frees its landings."""
+    import os
+
+    import ray.data as rd
+
+    from sod_ray.stages.exchange import Spill
+    from sod_ray.stages.similarity import semdedup_drop_ids_twolevel
+
+    rng = np.random.default_rng(12)
+    rows = []
+    for _ in range(6):
+        base = rng.normal(size=16)
+        rows += [base + 0.005 * rng.normal(size=16) for _ in range(20)]
+    rows += [rng.normal(size=16) for _ in range(120)]
+    X = np.array(rows, dtype=np.float32)
+    kw = dict(n_top=4, target_cluster_rows=40, threshold=0.99)
+
+    def drops(**extra):
+        ds = rd.from_arrow(_embed_table(X)).repartition(3)
+        out = semdedup_drop_ids_twolevel(ds, "embedding", "vec_id", **kw, **extra)
+        return sorted(out.to_pandas()["node"].tolist())
+
+    base = drops()
+    assert len(base) >= 6 * 19
+    assert drops(spill=Spill(str(tmp_path), phases=2)) == base
+    assert [d for d in os.listdir(tmp_path) if d.startswith("_sod_")] == []
+
+
 def test_semdedup_empty_and_singleton(ray_session):
     import ray.data as rd
 

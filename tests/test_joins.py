@@ -325,19 +325,17 @@ def test_bucketed_equi_join_left_outer(ray_session):
     assert got["rv"].fillna(-1).tolist() == [-1, 20, -1, 40]
 
 def test_bucketed_equi_join_spill_parity(ray_session, tmp_path):
-    """bucketed_equi_join_spill (both sides landed as bucket-partitioned
-    parquet, one join task per bucket) must match the in-plasma
-    bucketed_equi_join row-for-row, including null keys (never match)
+    """bucketed_equi_join with a spill (both sides landed as
+    bucket-partitioned parquet, one join task per bucket) must match
+    the in-plasma path row-for-row, including null keys (never match)
     and left-outer semantics."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
-    from sod_ray.stages.joins import (
-        bucketed_equi_join,
-        bucketed_equi_join_spill,
-    )
+    from sod_ray.stages.exchange import Spill
+    from sod_ray.stages.joins import bucketed_equi_join
 
     rng = np.random.default_rng(7)
     left = pa.table(
@@ -372,11 +370,11 @@ def test_bucketed_equi_join_spill_parity(ray_session, tmp_path):
             .reset_index(drop=True)
         )
         spilled = (
-            bucketed_equi_join_spill(
+            bucketed_equi_join(
                 rd.from_arrow(left).repartition(5),
                 rd.from_arrow(right).repartition(3),
-                "k", str(tmp_path / f"j-{jt.replace(' ', '')}"),
-                num_buckets=4, join_type=jt,
+                "k", num_buckets=4, join_type=jt,
+                spill=Spill(str(tmp_path / f"j-{jt.replace(' ', '')}")),
             )
             .to_pandas()
             .sort_values(["lv", "rv"], na_position="last")

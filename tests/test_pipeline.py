@@ -479,6 +479,58 @@ def test_docs_token_budget_sample(ray_session, tmp_path):
     assert 0 < n_bb < 431
 
 
+def test_docs_pack_chunks_matches_oracle_dtypes(ray_session, tmp_path):
+    """Crafted corpus for sequence packing: docs that straddle a
+    2048-token chunk boundary, a doc longer than one chunk, empty and
+    space-padded docs (zero tokens, one slot like the oracle's
+    GREATEST(n, 1)) and two langs.
+    docs_pack_chunks must equal its DuckDB oracle value for value AND
+    dtype for dtype — the window SUM widens to HUGEINT, so the
+    oracle's chunk columns must be cast back to BIGINT."""
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from sod_ray.pipelines.queries import PACK_CHUNKS_SQL, docs_pack_chunks
+
+    sizes = {"aa": [700, 900, 600, 0, 5000, 1, 2047, 2], "bb": [2048, 0, 3]}
+    rows, did = [], 0
+    for lang, ns in sizes.items():
+        for n in ns:
+            rows.append((did, lang, " ".join(["w"] * n)))
+            did += 1
+    rows += [(did, "bb", "   "), (did + 1, "bb", "  w w\n")]
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "lang": pa.array([r[1] for r in rows], pa.string()),
+            "source": pa.array(["t"] * len(rows), pa.string()),
+            "text": pa.array([r[2] for r in rows], pa.string()),
+            "n_chars": pa.array([len(r[2]) for r in rows], pa.int64()),
+        }
+    )
+    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
+
+    out = docs_pack_chunks(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet')"
+    )
+    ref = (
+        con.sql(PACK_CHUNKS_SQL)
+        .df()
+        .sort_values(["lang", "doc_id"])
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(out[list(ref.columns)], ref, check_dtype=True)
+    # the boundary paths fired: a doc spanning 3 chunks, and a chunk
+    # that starts mid-doc
+    assert ((out["chunk_end"] - out["chunk_start"]) >= 2).any()
+    assert (out["chunk_offset"] > 0).any()
+
+
 def test_full_run_kll_backend(ray_session, web_dir, tmp_path):
     """The flagship with quantile_sketch='kll' produces the SAME
     verdict table as the t-digest default (verdicts depend on counts

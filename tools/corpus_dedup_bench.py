@@ -5,6 +5,11 @@ truth: ≥99.9% of truth pairs must have at most one survivor, and every
 doc outside a family must survive.
 
 Usage: python tools/corpus_dedup_bench.py [n_docs] [n_shards]
+       [--spill DIR [--phases N]]
+
+From 50M docs on, the chain lands its tables and runs its exchange and
+joins on disk under <corpus dir>/_spill unless --spill names another
+directory.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from dedup_bench import gen_corpus  # noqa: E402  (sibling tool)
 
 
-def main(n_docs: int = 10_000_000, n_shards: int = 64):
+def main(n_docs: int = 10_000_000, n_shards: int = 64, spill=None):
     import ray
 
     if not ray.is_initialized():
@@ -49,19 +54,15 @@ def main(n_docs: int = 10_000_000, n_shards: int = 64):
 
     ds = rd.read_parquet(f"{d}/docs")
     # past ~50M the sig/band tables rival the object store: land them
-    # as parquet (the r4 spill-dir pattern) instead of pinning plasma
-    spill_kw = {}
-    if n_docs >= 50_000_000:
-        spill_kw = {
-            "sig_spill_dir": f"{d}/_spill_sigs",
-            "band_spill_dir": f"{d}/_spill_bands",
-        }
+    # as parquet instead of pinning plasma
+    if spill is None and n_docs >= 50_000_000:
+        from sod_ray.stages.exchange import Spill
+
+        spill = Spill(f"{d}/_spill")
     t0 = time.perf_counter()
-    kept = neardup_dedup_corpus(ds, "text", "doc_id", **spill_kw)
+    kept = neardup_dedup_corpus(ds, "text", "doc_id", spill=spill)
     kept.write_parquet(out)
     wall = time.perf_counter() - t0
-    for sd in spill_kw.values():
-        shutil.rmtree(sd, ignore_errors=True)
 
     survivors = set()
     for b in rd.read_parquet(out, columns=["doc_id"]).iter_batches(
@@ -97,6 +98,9 @@ def main(n_docs: int = 10_000_000, n_shards: int = 64):
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from spill_flags import spill_from_argv
+
+    spill = spill_from_argv(sys.argv)
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
     s = int(sys.argv[2]) if len(sys.argv) > 2 else 64
-    main(n, s)
+    main(n, s, spill)

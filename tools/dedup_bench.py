@@ -11,14 +11,17 @@ Deterministic per shard; truth pairs are collected (∼N/100 pairs, tiny)
 for exact recall/precision scoring.
 
 Usage: python tools/dedup_bench.py [n_docs] [n_shards] [n_perm] [bands]
-       [pair_emission] [sig_spill(0|1)]
+       [pair_emission] [--spill DIR [--phases N]]
 
 The trailing knobs exist for the disk-bounded 10^8-doc run on this VM:
 n_perm=32 halves sig bytes (verify granularity 1/32 — families are
 planted at J≥0.85, far from the 0.7 threshold), bands=8 halves band-row
 volume (P[catch J=0.85] = 1-(1-0.85^4)^8 ≈ 0.997), star emission keeps
-candidate volume ∝ bucket members, and sig_spill=1 lands the signature
-table as parquet instead of pinning ~n_perm*8 B/doc in the object store.
+candidate volume ∝ bucket members, and --spill DIR lands the signature,
+band and pruned tables as parquet (instead of pinning ~n_perm*8 B/doc of
+signatures in the object store) and runs the candidate exchange and the
+verify joins disk-backed; --phases N splits the exchange into N phases
+for volumes that cannot hold one full landed copy.
 """
 from __future__ import annotations
 
@@ -96,9 +99,7 @@ def main(
     n_perm: int = 64,
     bands: int = 16,
     pair_emission: str = "pairs",
-    sig_spill: bool = False,
-    band_spill: bool = False,
-    exchange_spill: bool = False,
+    spill=None,
 ):
     import ray
 
@@ -134,12 +135,7 @@ def main(
         n_perm=n_perm,
         bands=bands,
         pair_emission=pair_emission,
-        sig_spill_dir=f"/tmp/sod_dedup/sigs-{n_docs}" if sig_spill else None,
-        band_spill_dir=f"/tmp/sod_dedup/bands-{n_docs}" if band_spill else None,
-        exchange_spill_dir=(
-            f"/tmp/sod_dedup/exch-{n_docs}" if exchange_spill else None
-        ),
-        exchange_phases=2 if exchange_spill and n_docs >= 50_000_000 else 1,
+        spill=spill,
     )
     pairs_s = time.perf_counter() - t0
     found = {
@@ -207,21 +203,22 @@ def main(
         "n_perm": n_perm,
         "bands": bands,
         "pair_emission": pair_emission,
-        "sig_spill": sig_spill,
-        "band_spill": band_spill,
-        "exchange_spill": exchange_spill,
+        "spill": spill.dir if spill else None,
+        "phases": spill.phases if spill else None,
     }))
     ray.shutdown()
 
 
 if __name__ == "__main__":
+    from spill_flags import spill_from_argv
+
+    argv = sys.argv[1:]
+    spill = spill_from_argv(argv)
     main(
-        int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000,
-        int(sys.argv[2]) if len(sys.argv) > 2 else 32,
-        int(sys.argv[3]) if len(sys.argv) > 3 else 64,
-        int(sys.argv[4]) if len(sys.argv) > 4 else 16,
-        sys.argv[5] if len(sys.argv) > 5 else "pairs",
-        bool(int(sys.argv[6])) if len(sys.argv) > 6 else False,
-        bool(int(sys.argv[7])) if len(sys.argv) > 7 else False,
-        bool(int(sys.argv[8])) if len(sys.argv) > 8 else False,
+        int(argv[0]) if len(argv) > 0 else 1_000_000,
+        int(argv[1]) if len(argv) > 1 else 32,
+        int(argv[2]) if len(argv) > 2 else 64,
+        int(argv[3]) if len(argv) > 3 else 16,
+        argv[4] if len(argv) > 4 else "pairs",
+        spill,
     )

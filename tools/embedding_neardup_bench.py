@@ -7,6 +7,11 @@ driver-side matrix): even ids are random unit vectors, and each odd id
 (2k, 2k+1) pairs sit at cos >= ~0.999 and are the planted truth.
 
 Usage: python tools/embedding_neardup_bench.py [n_docs] [dim] [n_bands]
+       [--spill DIR [--phases N]]
+
+The chain always runs disk-backed (normalized vectors, band and pruned
+rows landed as parquet, exchange and verify joins on disk); --spill
+moves the landings from the default /tmp/embed_bench/spill.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ def gen_block(batch, dim: int, seed: int):
     )
 
 
-def main(n_docs: int, dim: int, n_bands: int) -> None:
+def main(n_docs: int, dim: int, n_bands: int, spill=None) -> None:
     sys.path.insert(0, "/root/repo")
     from sod_ray.stages.dedup import embedding_neardup
 
@@ -73,8 +78,7 @@ def main(n_docs: int, dim: int, n_bands: int) -> None:
         ds, "embedding", "vec_id", threshold=0.99,
         n_bands=(n_bands or None),  # 0 → corpus-aware auto-tune
         small_corpus_rows=1,
-        vec_spill_dir="/tmp/embed_bench/vn",
-        band_spill_dir="/tmp/embed_bench/bands",
+        spill=spill,
     )
     pdf = pairs.to_pandas()
     wall = time.time() - t0
@@ -106,7 +110,10 @@ def main(n_docs: int, dim: int, n_bands: int) -> None:
 
 
 if __name__ == "__main__":
+    from spill_flags import spill_from_argv
+
+    spill = spill_from_argv(sys.argv, "/tmp/embed_bench/spill")
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     d = int(sys.argv[2]) if len(sys.argv) > 2 else 64
     b = int(sys.argv[3]) if len(sys.argv) > 3 else 0  # 0 = auto
-    main(n, d, b)
+    main(n, d, b, spill)

@@ -14,7 +14,11 @@ ground truth on the SAME corpus:
   by construction — measured rate reported),
 - rows_out == input - sum(drops)  (funnel arithmetic).
 
-Usage: python tools/export_bench.py [n_docs] [n_shards]
+Usage: python tools/export_bench.py [n_docs] [n_shards] [token_budget]
+       [pack_chunk_tokens] [--spill DIR [--phases N]]
+
+--spill lands the near-dup chain's sig/band/pruned tables as parquet
+and runs its exchange and verify joins on disk under DIR.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ ROOT = "/tmp/sod_export_bench"
 def main(n_docs: int = 5_000_000, n_shards: int = 64,
          token_budget: int | None = None,
          pack_chunk_tokens: int | None = None,
-         spill: bool = False):
+         spill=None):
     import duckdb
     import ray
 
@@ -86,15 +90,10 @@ def main(n_docs: int = 5_000_000, n_shards: int = 64,
     from sod_ray.pipelines.export import CurateConfig, run_export
 
     lsh = {"seed": 1337}
-    if spill:
-        # the 10^9-shape knobs: sig/band/pruned tables parquet-landed,
-        # candidate exchange disk-backed — what lets a funnel whose
-        # near-dup working set rivals the store finish on this VM
-        lsh.update(
-            sig_spill_dir=os.path.join(ROOT, "spill_sigs"),
-            band_spill_dir=os.path.join(ROOT, "spill_bands"),
-            exchange_spill_dir=os.path.join(ROOT, "spill_exch"),
-        )
+    if spill is not None:
+        # the 10^9 shape: what lets a funnel whose near-dup working set
+        # rivals the object store finish on a disk-tight host
+        lsh["spill"] = spill
     cfg = CurateConfig(neardup=True, partition_col="lang",
                        lsh_kwargs=lsh,
                        token_budget=token_budget,
@@ -157,11 +156,15 @@ def main(n_docs: int = 5_000_000, n_shards: int = 64,
 
 
 if __name__ == "__main__":
-    argv = [a for a in sys.argv[1:] if a != "--spill"]
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from spill_flags import spill_from_argv
+
+    argv = sys.argv[1:]
+    spill = spill_from_argv(argv)
     main(
         int(argv[0]) if len(argv) > 0 else 5_000_000,
         int(argv[1]) if len(argv) > 1 else 64,
         int(argv[2]) if len(argv) > 2 else None,
         int(argv[3]) if len(argv) > 3 else None,
-        spill="--spill" in sys.argv,
+        spill=spill,
     )

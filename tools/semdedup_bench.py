@@ -10,6 +10,7 @@ so assignments agree unless the pair sits on a centroid boundary);
 precision <1.0 only if random 64-d vectors hit cos >= 0.99 (P ~ 0).
 
 Usage: python tools/semdedup_bench.py [n_docs] [dim] [n_centroids] [--two-level] [--n-super N]
+       [--spill DIR [--phases N]]
 
 --two-level runs semdedup_drop_ids_twolevel (centroid-sharded: top
 shards route the exchange, per-shard LOCAL k-means into
@@ -20,6 +21,10 @@ flops. n_centroids then means the TOP shard count (0 = auto).
 --n-super N adds the THREE-level hierarchical top assignment
 (super->top multi-probe routing — the 10^9 shape where the flat
 n x n_top x d assignment matmul itself reaches ~10^14 flops).
+
+--spill DIR runs the two-level shard exchange on disk under DIR
+(default from 20M docs: /tmp/sod_semdedup/spill-<n_docs>, with 2 phases
+from 50M); --phases N splits it into N phases.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ def main(
     n_centroids: int = 0,
     two_level: bool = False,
     n_super: int | None = None,
+    spill=None,
 ):
     import ray
 
@@ -81,10 +87,13 @@ def main(
         # and free the corpus the moment the landing commits (the
         # landing is its last read) — this 93 GB volume cannot hold
         # corpus + landed copy + reduce temps at 1e8 x 64d otherwise
-        spill = (
-            f"/tmp/sod_semdedup/spill-{n_docs}" if n_docs >= 20_000_000
-            else None
-        )
+        if spill is None and n_docs >= 20_000_000:
+            from sod_ray.stages.exchange import Spill
+
+            spill = Spill(
+                f"/tmp/sod_semdedup/spill-{n_docs}",
+                phases=2 if n_docs >= 50_000_000 else 1,
+            )
         drops = semdedup_drop_ids_twolevel(
             ds,
             "embedding",
@@ -92,13 +101,12 @@ def main(
             n_top=n_centroids,
             target_cluster_rows=1024,
             threshold=0.99,
-            spill_dir=spill,
+            spill=spill,
             after_land=(
                 (lambda: shutil.rmtree(corpus_dir, ignore_errors=True))
                 if spill
                 else None
             ),
-            spill_phases=2 if n_docs >= 50_000_000 else 1,
             n_super=n_super,
         ).to_pandas()
     else:
@@ -111,7 +119,6 @@ def main(
         ).to_pandas()
     wall = time.perf_counter() - t0
     probe_post = contention_probe()
-    shutil.rmtree(f"/tmp/sod_semdedup/spill-{n_docs}", ignore_errors=True)
 
     got = set(drops["node"].tolist())
     # planted truth: odd ids 2k+1 with k % PLANT_EVERY == 0
@@ -147,8 +154,12 @@ def main(
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from spill_flags import spill_from_argv
+
     ns = None
     argv = sys.argv[1:]
+    spill = spill_from_argv(argv)
     if "--n-super" in argv:
         i = argv.index("--n-super")
         ns = int(argv[i + 1])
@@ -160,4 +171,5 @@ if __name__ == "__main__":
         int(args[2]) if len(args) > 2 else 0,
         two_level="--two-level" in sys.argv,
         n_super=ns,
+        spill=spill,
     )

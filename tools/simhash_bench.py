@@ -7,15 +7,13 @@ MinHash's (an edit flips several signature bits), so the number
 reported is the honest recall of the op at its defaults, not a target.
 
 Usage: python tools/simhash_bench.py [n_docs] [n_shards] [n_bands]
-       [max_hamming] [sig_bits] [table_design] [band_spill_dir]
-       [exchange_spill_dir]
+       [max_hamming] [sig_bits] [table_design] [--spill DIR [--phases N]]
 sig_bits=128 runs the Manku combination-banding variant (28 block-pair
 tables, 32-bit keys — flat occupancy at 10^8; pass max_hamming≈6, the
-128-bit distance scale is ~2x the 64-bit one). band_spill_dir lands
-the band-row table as parquet (the sig_spill_dir idea) — required at
-10^8 docs where band rows (4-28 x 32 B/doc) outgrow the object store.
-exchange_spill_dir additionally lands the PRUNED rows and runs the
-verify exchange disk-backed (the 10^9 shape).
+128-bit distance scale is ~2x the 64-bit one). --spill DIR lands the
+band-row table and the PRUNED rows as parquet and runs the verify
+exchange disk-backed — required at 10^8 docs, where band rows (4-28 x
+32 B/doc) outgrow the object store; --phases N splits the exchange.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from tools.dedup_bench import gen_corpus  # noqa: E402
 def main(n_docs: int, n_shards: int, n_bands: int = 4,
          max_hamming: int = 3, sig_bits: int = 64,
          table_design: str = "all",
-         band_spill_dir: str | None = None,
-         exchange_spill_dir: str | None = None) -> None:
+         spill=None) -> None:
     from sod_ray.stages.dedup import simhash_dedup
 
     ray.init(
@@ -49,10 +46,7 @@ def main(n_docs: int, n_shards: int, n_bands: int = 4,
     t0 = time.time()
     pairs = simhash_dedup(
         ds, "text", "doc_id", max_hamming=max_hamming, n_bands=n_bands,
-        sig_bits=sig_bits, table_design=table_design,
-        band_spill_dir=band_spill_dir,
-        exchange_spill_dir=exchange_spill_dir,
-        exchange_phases=2 if exchange_spill_dir and n_docs >= 50_000_000 else 1,
+        sig_bits=sig_bits, table_design=table_design, spill=spill,
     ).to_pandas()
     wall = time.time() - t0
 
@@ -64,8 +58,8 @@ def main(n_docs: int, n_shards: int, n_bands: int = 4,
                 "n_docs": n_docs,
                 "sig_bits": sig_bits,
                 "table_design": table_design,
-                "band_spill": band_spill_dir is not None,
-                "exchange_spill": exchange_spill_dir is not None,
+                "spill": spill.dir if spill else None,
+                "phases": spill.phases if spill else None,
                 "n_bands": n_bands,
                 "max_hamming": max_hamming,
                 "gen_sec": round(gen_s, 1),
@@ -81,13 +75,16 @@ def main(n_docs: int, n_shards: int, n_bands: int = 4,
 
 
 if __name__ == "__main__":
+    from spill_flags import spill_from_argv
+
+    argv = sys.argv[1:]
+    spill = spill_from_argv(argv)
     main(
-        int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000,
-        int(sys.argv[2]) if len(sys.argv) > 2 else 32,
-        int(sys.argv[3]) if len(sys.argv) > 3 else 4,
-        int(sys.argv[4]) if len(sys.argv) > 4 else 3,
-        int(sys.argv[5]) if len(sys.argv) > 5 else 64,
-        sys.argv[6] if len(sys.argv) > 6 else "all",
-        sys.argv[7] if len(sys.argv) > 7 else None,
-        sys.argv[8] if len(sys.argv) > 8 else None,
+        int(argv[0]) if len(argv) > 0 else 1_000_000,
+        int(argv[1]) if len(argv) > 1 else 32,
+        int(argv[2]) if len(argv) > 2 else 4,
+        int(argv[3]) if len(argv) > 3 else 3,
+        int(argv[4]) if len(argv) > 4 else 64,
+        argv[5] if len(argv) > 5 else "all",
+        spill,
     )
