@@ -478,12 +478,14 @@ FROM documents
 
 def q3_join(sf_dir: str):
     """TPC-H Q3 shape: broadcast semi-filter on the small dimension
-    (customer segment), NATIVE Ray hash join (``Dataset.join``,
-    hash-partitioned) for the two large fact tables, then groupby +
-    top-10. Demonstrates both join strategies from the guide."""
+    (customer segment), the bucketed hash join
+    (``joins.bucketed_equi_join``) for the two large fact tables, then
+    groupby + top-10. Demonstrates both join strategies from the
+    guide."""
     from ray.data.aggregate import Sum
 
     from ..stages.constraints import broadcast_semi_join
+    from ..stages.joins import bucketed_equi_join
 
     cutoff = pa.scalar(pd.Timestamp("1997-01-01"), pa.timestamp("us"))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -502,15 +504,19 @@ def q3_join(sf_dir: str):
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(
-        lambda t: t.append_column(
-            "rev",
-            pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])),
+        lambda t: pa.table(
+            {
+                "o_orderkey": t["l_orderkey"],
+                "l_shipdate": t["l_shipdate"],
+                "rev": pc.multiply(
+                    t["l_extendedprice"],
+                    pc.subtract(pa.scalar(1.0), t["l_discount"]),
+                ),
+            }
         ).filter(pc.greater(t["l_shipdate"], cutoff)),
         batch_format="pyarrow",
     )
-    joined = orders_f.join(
-        li, "inner", num_partitions=16, on=("o_orderkey",), right_on=("l_orderkey",)
-    )
+    joined = bucketed_equi_join(orders_f, li, "o_orderkey")
     agg = joined.groupby(["o_orderkey", "o_orderdate"]).aggregate(
         Sum("rev", alias_name="revenue")
     )
@@ -520,6 +526,8 @@ def q3_join(sf_dir: str):
         .head(10)
     )
     top["revenue"] = top["revenue"].round(2)
+    # Ray's groupby narrows the timestamp[us] key to seconds
+    top["o_orderdate"] = top["o_orderdate"].astype("datetime64[us]")
     return pa.Table.from_pandas(
         top[["o_orderkey", "o_orderdate", "revenue"]], preserve_index=False
     )

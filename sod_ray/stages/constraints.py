@@ -512,113 +512,54 @@ def broadcast_semi_join(child_ds, parent_keys, fk: str):
 
 
 def bucketed_anti_join(
-    child_ds, parent_ds, fk: str, pk: str, num_buckets: int = 64
+    child_ds, parent_ds, fk: str, pk: str, num_buckets: int | None = 64
 ):
-    """Both-sides-large anti-join: EXPLICIT hash-bucket exchange with
-    raw Ray tasks (the documented Dataset-API escape hatch).
+    """Both-sides-large anti-join: the child rows whose ``fk`` has no
+    match among the parent's ``pk`` values, as a left anti join on
+    ``joins.bucketed_equi_join`` (raw-task hash-bucket exchange —
+    pieces flow worker-to-worker, never the driver; no global sort
+    shuffle, which stalls when the object store is much smaller than
+    the shuffle data: observed on an 11M-row referential join with a
+    2 GiB store).
 
-    Each side's blocks split into B pieces by hash(key) % B
-    (num_returns fan-out — pieces flow worker-to-worker, never the
-    driver); one task per bucket builds a hash index over its parent
-    keys and filters its child pieces (actual values compared, not
-    hashes — collision-proof). Child payload columns survive; parent
-    contributes only deduped keys.
-
-    Why not union + groupby(bucket): that formulation funnels both
-    sides through a global sort-based shuffle, which stalls outright
-    when the object store is much smaller than the shuffle data
-    (observed: 11M-row referential join, 2 GiB store). The bucket
-    exchange touches each block once and each piece independently —
-    spillable, no global barrier."""
-    import pandas as pd
-
-    child_schema = child_ds.schema().base_schema
-    P = num_buckets
-
-    @ray.remote
-    def split_parent(t: pa.Table):
-        if pk not in t.column_names:  # schema-less empty block upstream
-            empty = pa.array([], pa.string())
-            return tuple(empty for _ in range(P))
-        keys = t[pk]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        keys = pc.unique(keys.cast(pa.string()).drop_null())
-        h = (hash64(keys) % np.uint64(P)).astype(np.int64)
-        order = np.argsort(h, kind="stable")
-        bounds = np.searchsorted(h[order], np.arange(P + 1))
-        return tuple(
-            keys.take(pa.array(order[bounds[p] : bounds[p + 1]]))
-            for p in range(P)
-        )
-
-    @ray.remote
-    def split_child(t: pa.Table):
-        if fk not in t.column_names:  # schema-less empty block upstream
-            empty = child_schema.empty_table().append_column(
-                "__key", pa.array([], pa.string())
-            )
-            return tuple(empty for _ in range(P))
-        keys = t[fk]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        keys = keys.cast(pa.string())
-        # null FKs hash via a sentinel; they compare not-present below
-        # (parent nulls are dropped), so they surface as dangling —
-        # same outcome as the broadcast path with a non-null parent
-        h = (hash64(pc.fill_null(keys, "\x00__null__")) % np.uint64(P)).astype(
-            np.int64
-        )
-        order = np.argsort(h, kind="stable")
-        bounds = np.searchsorted(h[order], np.arange(P + 1))
-        out = []
-        for p in range(P):
-            rows = order[bounds[p] : bounds[p + 1]]
-            piece = t.take(pa.array(rows))
-            out.append(piece.append_column("__key", keys.take(pa.array(rows))))
-        return tuple(out)
-
-    @ray.remote
-    def anti_bucket(n_parent: int, *pieces) -> pa.Table:
-        parent_pieces = pieces[:n_parent]
-        child_pieces = [p for p in pieces[n_parent:] if p.num_rows]
-        if not child_pieces:
-            return child_schema.empty_table()
-        child = pa.concat_tables(child_pieces)
-        parent_keys = [p for p in parent_pieces if len(p)]
-        if parent_keys:
-            # per-block unique still leaves cross-block duplicates; a
-            # non-unique pd.Index rejects get_indexer
-            index = pd.Index(
-                pc.unique(pa.concat_arrays(parent_keys)).to_pandas()
-            )
-            keys = child["__key"].to_pandas()
-            present = index.get_indexer(keys) >= 0
-            # null keys: get_indexer matches NaN against the index; a
-            # dropped-null parent never contains them → force absent
-            present = np.where(keys.isna(), False, present)
-            child = child.filter(pa.array(~present))
-        return child.drop_columns(["__key"])
-
-    parent_splits = [
-        split_parent.options(num_returns=P).remote(r)
-        for r in arrow_block_refs(parent_ds)
-    ]
-    child_splits = [
-        split_child.options(num_returns=P).remote(r)
-        for r in arrow_block_refs(child_ds)
-    ]
-    buckets = [
-        anti_bucket.remote(
-            len(parent_splits),
-            *[s[p] for s in parent_splits],
-            *[s[p] for s in child_splits],
-        )
-        for p in range(P)
-    ]
+    Keys compare as strings (actual values, collision-proof; int64
+    beyond 2^53 stays exact). The parent contributes only its per-block
+    unique non-null keys, so a null FK never matches and comes out
+    dangling — same outcome as the broadcast path with a non-null
+    parent. The child's columns and their types are unchanged.
+    ``num_buckets=None`` sizes the fan-out to the data."""
     import ray.data as rd
 
-    return rd.from_arrow_refs(buckets)
+    from .joins import bucketed_equi_join
+
+    def child_key(t: pa.Table) -> pa.Table:
+        if fk not in t.column_names:  # schema-less empty block upstream
+            return t
+        return t.append_column("__key", t[fk].cast(pa.string()))
+
+    def parent_key(t: pa.Table) -> pa.Table:
+        keys = (
+            t[pk].cast(pa.string()).drop_null()
+            if pk in t.column_names
+            else pa.array([], pa.string())
+        )
+        return pa.table({"__key": pc.unique(keys)})
+
+    @ray.remote
+    def drop_key(t: pa.Table) -> pa.Table:
+        # a task per bucket, not a Dataset map: Ray maps an empty block
+        # to a schema-less one, and an all-empty result would lose the
+        # child's schema
+        return t.drop_columns(["__key"])
+
+    joined = bucketed_equi_join(
+        child_ds.map_batches(child_key, batch_format="pyarrow"),
+        parent_ds.map_batches(parent_key, batch_format="pyarrow"),
+        "__key",
+        num_buckets=num_buckets,
+        join_type="left anti",
+    )
+    return rd.from_arrow_refs([drop_key.remote(r) for r in arrow_block_refs(joined)])
 
 
 def referential_check(

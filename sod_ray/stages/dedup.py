@@ -28,7 +28,7 @@ import ray
 
 from ..state.sketches import hash64
 from .blocks import arrow_block_refs
-from .exchange import Spill, _smallest_node, broadcast_rows_budget, land
+from .exchange import Spill, broadcast_rows_budget, land
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -312,16 +312,13 @@ def minhash_lsh_dedup(
        still merge the cluster);
     4. verification is a distributed signature join, NEVER on the
        driver (web corpora are ~30% near-dup — the candidate list is
-       not small): pairs explode to (key=endpoint) probe rows, union
-       with the (key=id) sig rows, ``groupby(key)`` attaches each
-       endpoint's signature, then ``groupby(pair)`` computes the
-       signature-agreement Jaccard estimate. Only verified pairs
-       reach the driver.
+       not small): two ``bucketed_equi_join`` passes attach each
+       endpoint's signature to its pairs, then one vectorized map
+       computes the signature-agreement Jaccard estimate. Only
+       verified pairs reach the driver.
 
-    For small corpora (< ``small_corpus_rows``) the join machinery
-    costs more than it saves — there the signatures ride along in the
-    band rows and verification happens inside the bucket groups (one
-    execution total). Same results either way (tested).
+    Every corpus size runs this one chain. ``small_corpus_rows`` is
+    kept for API compatibility and ignored.
 
     ``pair_emission``: "pairs" (default) emits every in-bucket pair —
     exhaustive PAIR recall; "star" emits only (bucket-min → member)
@@ -329,9 +326,7 @@ def minhash_lsh_dedup(
     MEMBERS, not members² — the right mode when downstream is
     connected components / corpus dedup (connectivity is all CC
     needs; duplicate-heavy corpora with ~60-member families measured
-    ~20× less verify volume). Applies to the large distributed path —
-    below ``small_corpus_rows`` the in-bucket verify is already cheap
-    and stays exhaustive. Star trades away direct verification of
+    ~20× less verify volume). Star trades away direct verification of
     member↔member edges: a member whose similarity to the bucket min
     is below threshold only joins the cluster if SOME band gives it a
     passing hub — for homogeneous dup families (the web reality)
@@ -351,20 +346,12 @@ def minhash_lsh_dedup(
     the form downstream distributed consumers (connected components,
     corpus dedup) want, since a web corpus' pair list need not fit on
     the driver."""
-    import ray.data as rd
-
     if pair_emission not in ("pairs", "star"):
         # a typo ('Star', 'stars') would otherwise silently fall
         # through to the exhaustive all-pairs path
         raise ValueError(
             f"pair_emission must be 'pairs' or 'star', got {pair_emission!r}"
         )
-
-    if ds.count() < small_corpus_rows:
-        small = _minhash_small(
-            ds, text_col, id_col, n_perm, bands, shingle_k, jaccard_threshold, seed
-        )
-        return rd.from_arrow(small) if as_dataset else small
 
     def to_sig_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -612,7 +599,6 @@ def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray):
 
 def _prune_singleton_buckets(
     band_rows,
-    num_partitions: int | None = None,
     key_col: str | None = None,
     spill: Spill | None = None,
 ):
@@ -621,9 +607,10 @@ def _prune_singleton_buckets(
     can come out of it), and `groupby().map_groups` pays a Python call
     per group — pruning turns ~N·bands tiny groups into only the dup
     buckets. Hot keys come from per-batch value_counts (small inputs)
-    or a raw-task key exchange (large), then one broadcast filter —
-    all distributed. ``key_col``: use a precomputed int64 bucket-key
-    column instead of deriving band<<56|band_hash. ``spill``: land
+    or a raw-task key exchange (large), then one broadcast filter (or,
+    past the broadcast budget, a ``bucketed_equi_join`` against the
+    hot keys) — all distributed. ``key_col``: use a precomputed int64
+    bucket-key column instead of deriving band<<56|band_hash. ``spill``: land
     the band rows (tens of GB at 10⁸ docs × 12-28 tables, larger than
     a node's store; both passes below stream them from disk) and the
     filtered rows (store-sized for a dup-heavy corpus × 10⁹ docs) as
@@ -707,29 +694,21 @@ def _prune_singleton_buckets(
         return finish(_broadcast_key_filter(band_rows, key64_of, hot_np))
     # dup-heavy corpus (>20M dup buckets): broadcast would pin too
     # much worker heap — distributed hash join against the hot-key
-    # table instead
+    # table instead (the hot keys are unique, so the inner join acts
+    # as a semi-join)
     import ray.data as _rd
 
-    hot = _rd.from_numpy(hot_np).map_batches(
-        lambda t: pa.table({"__key64": t["data"]}), batch_format="pyarrow"
-    )
+    from .joins import bucketed_equi_join
+
+    hot = _rd.from_arrow(pa.table({"__key64": hot_np}))
     keyed = band_rows.map_batches(
         lambda t: t.append_column("__key64", key64_of(t)),
         batch_format="pyarrow",
     )
-    joined = keyed.join(
-        hot, "inner", _join_partitions(num_partitions), on=("__key64",)
+    joined = bucketed_equi_join(
+        keyed, hot, "__key64", spill=spill
     ).drop_columns(["__key64"])
     return finish(joined)
-
-
-def _join_partitions(requested: int | None) -> int:
-    """Join aggregator-actor count sized to the cluster: each hash join
-    spawns `num_partitions` aggregator actors, and oversubscribing CPUs
-    (e.g. two chained 16-way joins on 4 cores) deadlocks the pool."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    auto = max(2, cpus // 2)
-    return min(requested, auto) if requested else auto
 
 
 @ray.remote
@@ -760,14 +739,13 @@ def _verify_pairs_distributed(
     sig_rows,
     id_col: str,
     threshold: float,
-    num_partitions: int | None = None,
     endpoint_broadcast_limit: int | None = None,
     payload_col: str = "sig",
     out_col: str = "jaccard_est",
     scorer=None,
     spill: Spill | None = None,
 ):
-    """Distributed pair verify: two native hash joins attach each
+    """Distributed pair verify: two bucketed hash joins attach each
     endpoint's binary payload (MinHash signature by default; any
     per-doc bytes via ``payload_col``/``scorer`` — the embedding chain
     passes normalized float32 vectors and a dot-product scorer) to its
@@ -788,11 +766,8 @@ def _verify_pairs_distributed(
 
     ``spill``: both joins run disk-backed (a 60M-doc funnel's
     candidate-pair × payload join spilled past the raylet disk monitor
-    through the in-plasma exchange, and the native-join fallback
-    OOM-killed its aggregators — measured); only the SCORED pairs,
+    through the in-plasma exchange — measured); only the SCORED pairs,
     threshold-filtered with payloads dropped, are materialized."""
-    # num_partitions=None → bucketed_equi_join sizes the fan-out to the
-    # candidate volume (RefBundle row metadata, no extra execution)
     n_pairs = pairs.count()
     if endpoint_broadcast_limit is None:
         endpoint_broadcast_limit = broadcast_rows_budget(
@@ -802,8 +777,8 @@ def _verify_pairs_distributed(
     # proxy: star emission makes endpoints ≈ n_pairs (each member pairs
     # with its bucket hub), so the proxy overcounts ~2× and a 60M-doc
     # funnel whose candidates sat just over the proxy skipped the
-    # filter — the full-corpus-payload join then OOM-killed the native
-    # aggregators (measured). Collecting the endpoint ids to decide
+    # filter — the full-corpus-payload join then OOM-killed its
+    # workers (measured). Collecting the endpoint ids to decide
     # costs 16 B × 2·n_pairs transient driver memory; cap that at 8×
     # the budget (~2.6 GB at the 20M default) and assume over-budget
     # beyond it.
@@ -858,39 +833,18 @@ def _verify_pairs_distributed(
 
     sa = sig_rows.map_batches(as_a, batch_format="pyarrow")
     sb = sig_rows.map_batches(as_b, batch_format="pyarrow")
-    # Join backend by SIDE SIZE. The raw-task bucket-exchange join
-    # (stages.joins.bucketed_equi_join) skips the native join's
-    # aggregator-pool startup (~1.4 s ×2 on a 2k-row corpus) and sizes
-    # its fan-out to the candidates — but it PINS ~2 copies of each
-    # side (block refs + split outputs) in the object store, which is
-    # the right trade only for endpoint-filtered sides. When the
-    # candidate set overflows the endpoint budget and the side is the
-    # FULL corpus payload table, that pinning is catastrophic —
-    # measured at 30M×64d with >10M candidates: ~35 GB of raylet spill
-    # → OutOfDiskError. Big sides route to the native streaming hash
-    # join, which aggregates incrementally instead of pinning.
-    # Materialize between the two so the second join reads landed
-    # blocks (and the two aggregator pools never run concurrently).
+    # the raw-task bucket-exchange join pins ~2 copies of each side
+    # (block refs + split outputs) in the object store: fine for
+    # endpoint-filtered sides; a full-corpus payload side needs
+    # ``spill`` (measured at 30M×64d with >10M candidates in plasma:
+    # ~35 GB of raylet spill → OutOfDiskError). Materialize between
+    # the two so the second join reads landed blocks. The fan-out sizes
+    # itself to the candidate volume (RefBundle row metadata, no extra
+    # execution).
     from .joins import bucketed_equi_join
 
-    side_bytes = store = 0
-    if spill is None:  # sizing a lazy landed side would execute it
-        try:
-            side_bytes = sig_rows.size_bytes() or 0
-        except Exception:
-            side_bytes = 0
-        store = _smallest_node()[0]
-    if side_bytes and store and 8 * side_bytes > store:
-        parts = _join_partitions(num_partitions)
-        j1 = pairs.join(sa, "inner", parts, on=("id_a",)).materialize()
-        j = j1.join(sb, "inner", parts, on=("id_b",))
-    else:
-        j1 = bucketed_equi_join(
-            pairs, sa, "id_a", num_buckets=num_partitions, spill=spill
-        ).materialize()
-        j = bucketed_equi_join(
-            j1, sb, "id_b", num_buckets=num_partitions, spill=spill
-        )
+    j1 = bucketed_equi_join(pairs, sa, "id_a", spill=spill).materialize()
+    j = bucketed_equi_join(j1, sb, "id_b", spill=spill)
 
     scored = j.map_batches(
         _make_est_batch(score, threshold, out_col), batch_format="pyarrow"
@@ -924,69 +878,6 @@ def _make_est_batch(score, threshold, out_col):
         )
 
     return est_batch
-
-
-def _minhash_small(
-    ds, text_col, id_col, n_perm, bands, shingle_k, jaccard_threshold, seed
-):
-    """Small-corpus path: one pass — signatures computed on the driver
-    over collected (id, text) batches would defeat the point; instead
-    signatures ride in the band rows and buckets verify in-place."""
-
-    def to_band_rows(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sig = minhash_signatures(texts, n_perm, shingle_k, seed)
-        bh = _band_hashes(sig, bands)
-        n = len(texts)
-        sig_bytes = [row.tobytes() for row in sig]  # binary: join-compatible
-        return pa.table(
-            {
-                "band": pa.array(np.repeat(np.arange(bands), n).astype(np.int32)),
-                "band_hash": pa.array(bh.T.reshape(-1).view(np.int64)),
-                id_col: pa.array(np.tile(ids, bands)),
-                "sig": pa.array(sig_bytes * bands, pa.binary()),
-            }
-        )
-
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(id_col).sort_values(id_col, kind="stable")
-        if len(g) < 2:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-                 "jaccard_est": pd.Series(dtype="float64")}
-            )
-        ids = g[id_col].to_numpy()
-        sigs = np.stack([np.frombuffer(b, dtype=np.uint64) for b in g["sig"]])
-        out_a, out_b, out_j = [], [], []
-        for i in range(len(ids)):
-            agree = (sigs[i + 1 :] == sigs[i]).mean(axis=1)
-            hits = np.flatnonzero(agree >= jaccard_threshold)
-            for h in hits:
-                out_a.append(ids[i])
-                out_b.append(ids[i + 1 + h])
-                out_j.append(float(agree[h]))
-        return pd.DataFrame({"id_a": out_a, "id_b": out_b, "jaccard_est": out_j})
-
-    pairs = (
-        _prune_singleton_buckets(
-            ds.map_batches(to_band_rows, batch_format="pyarrow")
-        )
-        .groupby(["band", "band_hash"])
-        .map_groups(verify, batch_format="pandas")
-        .to_pandas()
-        .drop_duplicates(["id_a", "id_b"])
-        .reset_index(drop=True)
-    )
-    if len(pairs) == 0:
-        return pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "jaccard_est": pa.array([], pa.float64()),
-            }
-        )
-    return pa.Table.from_pandas(pairs, preserve_index=False)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ Partitioning assumptions (documented per the brief):
 - ``bucketed_equi_join``: both sides may be LARGE; each side's blocks
   split into B hash buckets that flow worker-to-worker (never the
   driver); one bucket's rows from BOTH sides must fit in one worker —
-  a single hot key needs a pre-salt (asof_join_salted pattern).
+  a single hot key needs a pre-salt (asof_join_salted pattern). It is
+  the engine's only hash-join backend: the TPC-H ``q3_join``, the
+  near-dup hot-key prune and pair verify, and the referential
+  anti-join (``constraints.bucketed_anti_join``) all run on it; no
+  call site uses Ray's native ``Dataset.join``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs_with_rows
 
 
 def asof_join(
@@ -496,6 +500,26 @@ def _join_bucket_of(t: pa.Table, key: str, P: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+def _table_join(left: pa.Table, right: pa.Table, key: str, join_type: str):
+    """One bucket's Arrow hash join. Acero rejects nested payload
+    columns (list, struct, tensor); then only (key, row index) go
+    through the join and the rows are taken afterwards, so every
+    column keeps its type and the left columns come first either way."""
+    try:
+        return left.join(right, keys=key, join_type=join_type)
+    except pa.ArrowInvalid:
+        pass
+    li = pa.table({key: left[key], "__l": pa.array(np.arange(left.num_rows))})
+    ri = pa.table({key: right[key], "__r": pa.array(np.arange(right.num_rows))})
+    j = li.join(ri, keys=key, join_type=join_type)
+    out = left.take(j["__l"])
+    if "__r" in j.column_names:  # inner / left outer: append right payload
+        rest = right.drop_columns([key]).take(j["__r"])
+        for name in rest.column_names:
+            out = out.append_column(rest.schema.field(name), rest[name])
+    return out
+
+
 def bucketed_equi_join(
     left_ds,
     right_ds,
@@ -505,24 +529,25 @@ def bucketed_equi_join(
     spill=None,
 ):
     """Both-sides-large hash equi-join: EXPLICIT hash-bucket exchange
-    with raw Ray tasks — the same shape as
-    ``constraints.bucketed_anti_join``. Ray's native ``Dataset.join``
-    (alpha hash-shuffle) re-evaluated on 2.49 (r5): the
-    empty-partition Acero failure seen in earlier rounds no longer
-    reproduces, but the A/B stands — lineitem⋈orders at sf0.1 runs
-    0.71 s here vs 3.4-3.6 s native (4.8×), so the dispatch keeps this
-    path; the seam remains one call if a later Ray release wins. The
-    union+groupby formulation still funnels both sides through a
-    global sort shuffle that stalls when the object store is smaller
-    than the shuffle data.
+    with raw Ray tasks — the engine's one hash-join backend. Ray's
+    native ``Dataset.join`` (alpha hash-shuffle) lost the A/B on 2.49
+    (r5): lineitem⋈orders at sf0.1 ran 0.71 s here vs 3.4-3.6 s native
+    (4.8×), and it waits for ``num_partitions`` aggregator actors to
+    start, which hangs once the host's CPUs or memory cannot hold them
+    (16 never started on a 15 GB host). The union+groupby
+    formulation funnels both sides through a global sort shuffle that
+    stalls when the object store is smaller than the shuffle data.
 
     Each side's blocks split into B pieces by hash(key) % B
     (``num_returns`` fan-out — pieces flow worker-to-worker, never the
     driver); one task per bucket concatenates its pieces and runs a
     local Arrow hash join (actual values compared — collision-proof).
-    ``join_type``: "inner" or "left outer". NULL keys never match
-    (SQL semantics). One bucket's rows from both sides must fit in one
-    worker — hot keys need a pre-salt, same contract as ``asof_join``.
+    ``join_type``: "inner", "left outer" or "left anti". NULL keys
+    never match (SQL semantics), so a left anti join keeps them.
+    Payload columns Acero cannot carry (list, struct, tensor) pass
+    through with their types. One bucket's rows from both sides must
+    fit in one worker — hot keys need a pre-salt, same contract as
+    ``asof_join``.
     ``num_buckets=None`` sizes the fan-out to the data (64, capped at
     one bucket per ~64k rows of the larger side — free from RefBundle
     metadata), so a 2k-row join runs one task instead of 64.
@@ -539,8 +564,6 @@ def bucketed_equi_join(
     """
     import ray
     import ray.data as rd
-
-    from .blocks import arrow_block_refs_with_rows
 
     left_schema = _arrow_schema(left_ds)
     right_schema = _arrow_schema(right_ds)
@@ -591,7 +614,7 @@ def bucketed_equi_join(
 
             lt = read(lpath, left_schema)
             rt = read(rpath, right_schema)
-            return lt.join(rt, keys=key, join_type=join_type)
+            return _table_join(lt, rt, key, join_type)
 
         outs = [join_dir.remote(p) for p in range(P)]
         spill.free_after(outs, "join_l", "join_r")
@@ -635,7 +658,7 @@ def bucketed_equi_join(
         rp = [p for p in pieces[n_left:] if p.num_rows]
         left = pa.concat_tables(lp) if lp else left_schema.empty_table()
         right = pa.concat_tables(rp) if rp else right_schema.empty_table()
-        return left.join(right, keys=key, join_type=join_type)
+        return _table_join(left, right, key, join_type)
 
     if P == 1:
         # one bucket == everything: join the raw blocks in one task

@@ -120,29 +120,6 @@ def test_embedding_neardup(ray_session):
     assert len(found) <= 3  # random vectors shouldn't pair
 
 
-def test_minhash_large_path_parity(ray_session, doc_table):
-    """The distributed large-corpus path (sig-row join verify) must
-    produce exactly the small path's pairs."""
-    import ray.data as rd
-
-    from sod_ray.stages.dedup import minhash_lsh_dedup
-
-    small = minhash_lsh_dedup(
-        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5
-    ).to_pandas()
-    large = minhash_lsh_dedup(
-        rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,  # force the distributed path
-    ).to_pandas()
-    s = {tuple(sorted(p)) for p in zip(small["id_a"], small["id_b"])}
-    l = {tuple(sorted(p)) for p in zip(large["id_a"], large["id_b"])}
-    assert s == l and len(s) > 0
-    # jaccard estimates agree too
-    sj = small.set_index(["id_a", "id_b"])["jaccard_est"].sort_index()
-    lj = large.set_index(["id_a", "id_b"])["jaccard_est"].sort_index()
-    pd.testing.assert_series_equal(sj, lj)
-
-
 def test_minhash_sig_spill_dir_parity(ray_session, doc_table, tmp_path):
     """Landing the signature, band and pruned tables as parquet and
     running the candidate exchange + verify joins disk-backed (the
@@ -157,14 +134,14 @@ def test_minhash_sig_spill_dir_parity(ray_session, doc_table, tmp_path):
 
     instore = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,
+        small_corpus_rows=1,  # accepted and ignored: one chain at every size
     ).to_pandas()
     sentinel = tmp_path / "sigs" / "precious.txt"
     sentinel.parent.mkdir()
     sentinel.write_text("do not delete")
     spilled = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1, spill=Spill(str(tmp_path / "sigs")),
+        spill=Spill(str(tmp_path / "sigs")),
     ).to_pandas()
     pd.testing.assert_frame_equal(
         instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
@@ -187,7 +164,6 @@ def test_minhash_band_spill_dir_parity(ray_session, doc_table, tmp_path):
 
     instore = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,
     ).to_pandas()
     stale = tmp_path / "bands" / "_sod_bands"
     stale.mkdir(parents=True)
@@ -197,7 +173,7 @@ def test_minhash_band_spill_dir_parity(ray_session, doc_table, tmp_path):
     )
     spilled = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1, spill=Spill(str(tmp_path / "bands")),
+        spill=Spill(str(tmp_path / "bands")),
     ).to_pandas()
     pd.testing.assert_frame_equal(
         instore.sort_values(["id_a", "id_b"]).reset_index(drop=True),
@@ -406,7 +382,7 @@ def test_minhash_star_emission_same_clusters(ray_session):
     def clusters(emission):
         pairs = minhash_lsh_dedup(
             ds, "text", "doc_id", jaccard_threshold=0.7,
-            small_corpus_rows=1, as_dataset=True, pair_emission=emission,
+            as_dataset=True, pair_emission=emission,
         )
         labels = connected_components_distributed(pairs).to_pandas()
         return set(zip(labels["node"], labels["label"]))
@@ -692,9 +668,9 @@ def test_cosine_all_pairs_matches_numpy(ray_session):
 
 
 def test_embedding_neardup_large_path_parity(ray_session):
-    """The distributed large-corpus path (slim band rows + payload-join
-    verify) must produce exactly the small path's pair set, with equal
-    cosines."""
+    """The distributed chain (slim band rows + payload-join verify) is
+    the only path at every size: two runs over one input must give the
+    same pair set with equal cosines."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import embedding_neardup
@@ -724,7 +700,7 @@ def test_embedding_neardup_large_path_parity(ray_session):
         ds, "embedding", "vec_id", threshold=0.99
     ).to_pandas()
     large = embedding_neardup(
-        ds, "embedding", "vec_id", threshold=0.99, small_corpus_rows=1
+        ds, "embedding", "vec_id", threshold=0.99
     ).to_pandas()
     s = {tuple(sorted(p)) for p in zip(small["id_a"], small["id_b"])}
     l = {tuple(sorted(p)) for p in zip(large["id_a"], large["id_b"])}
@@ -765,10 +741,10 @@ def test_embedding_neardup_vec_spill_parity(ray_session, tmp_path):
     )
     ds = rd.from_arrow(t)
     mat = embedding_neardup(
-        ds, "embedding", "vec_id", threshold=0.99, small_corpus_rows=1
+        ds, "embedding", "vec_id", threshold=0.99
     ).to_pandas()
     spill = embedding_neardup(
-        ds, "embedding", "vec_id", threshold=0.99, small_corpus_rows=1,
+        ds, "embedding", "vec_id", threshold=0.99,
         spill=Spill(str(tmp_path / "vecs")),
     ).to_pandas()
     m = {tuple(sorted(p)) for p in zip(mat["id_a"], mat["id_b"])}
@@ -1105,14 +1081,20 @@ def test_simhash_dedup_128_triples_guarantee(ray_session):
 
 
 def test_prune_singleton_large_path_parity(ray_session, doc_table, monkeypatch):
-    """The >budget prune path (raw-task key-count exchange + broadcast
-    filter, keys PROJECTED before block pinning) must produce the same
-    pair set as the small value-counts path — forced by shrinking the
-    broadcast budget to zero."""
+    """The >budget prune path (raw-task key-count exchange, keys
+    PROJECTED before block pinning, then the hot-key join) must produce
+    the same pair set as the small value-counts path — forced by
+    shrinking the broadcast budget to zero. Ray's native
+    ``Dataset.join`` is patched to raise: every join in the chain runs
+    on ``bucketed_equi_join``."""
     import ray.data as rd
 
     from sod_ray.stages import dedup as dd
 
+    def no_native_join(*a, **kw):
+        raise AssertionError("native Dataset.join called")
+
+    monkeypatch.setattr(rd.Dataset, "join", no_native_join)
     base = (
         dd.simhash_dedup(rd.from_arrow(doc_table), "text", "doc_id")
         .to_pandas()
@@ -1419,8 +1401,7 @@ def _run_minhash(ds, spill):
     from sod_ray.stages.dedup import minhash_lsh_dedup
 
     return minhash_lsh_dedup(
-        ds, "text", "doc_id", jaccard_threshold=0.5, small_corpus_rows=1,
-        spill=spill,
+        ds, "text", "doc_id", jaccard_threshold=0.5, spill=spill,
     )
 
 
@@ -1590,11 +1571,9 @@ def test_minhash_spill_two_phase_parity(ray_session, doc_table, tmp_path):
 
     instore = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,
     ).to_pandas()
     spilled = minhash_lsh_dedup(
         rd.from_arrow(doc_table), "text", "doc_id", jaccard_threshold=0.5,
-        small_corpus_rows=1,
         spill=Spill(str(tmp_path / "ex"), phases=2),
     ).to_pandas()
     pd.testing.assert_frame_equal(

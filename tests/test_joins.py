@@ -383,3 +383,48 @@ def test_bucketed_equi_join_spill_parity(ray_session, tmp_path):
         pd.testing.assert_frame_equal(
             base[sorted(base.columns)], spilled[sorted(spilled.columns)]
         )
+
+
+def test_bucket_join_nested_payloads():
+    """A bucket join whose payload Acero rejects (list columns on
+    either side) gives the rows and column order of the Acero join of
+    the same tables with those columns left out, and every column keeps
+    its type."""
+    from sod_ray.stages.joins import _table_join
+
+    left = pa.table(
+        {
+            "k": pa.array([1, 2, None, 4, 2], pa.int64()),
+            "lv": pa.array(np.arange(5), pa.int64()),
+            "ll": pa.array([[i] for i in range(5)], pa.list_(pa.int32())),
+        }
+    )
+    right = pa.table(
+        {
+            "k": pa.array([2, 4, 4, 9], pa.int64()),
+            "rv": pa.array([20, 40, 41, 90], pa.int64()),
+            "rl": pa.array([["a"], ["b"], ["c"], ["d"]], pa.list_(pa.string())),
+        }
+    )
+    for jt in ("inner", "left outer", "left anti"):
+        got = _table_join(left, right, "k", jt)
+        flat = left.drop_columns(["ll"]).join(
+            right.drop_columns(["rl"]), keys="k", join_type=jt
+        )
+        want_names = flat.column_names[:2] + ["ll"] + flat.column_names[2:]
+        if jt != "left anti":
+            want_names.append("rl")
+        assert got.column_names == want_names, jt
+        assert got.schema.field("ll").type == left.schema.field("ll").type
+        order = ["lv"] + (["rv"] if jt != "left anti" else [])
+        g = got.to_pandas().sort_values(order, na_position="last")
+        f = flat.to_pandas().sort_values(order, na_position="last")
+        pd.testing.assert_frame_equal(
+            g[flat.column_names].reset_index(drop=True), f.reset_index(drop=True)
+        )
+        # the nested payloads travel with their rows
+        assert all(a == [b] for a, b in zip(g["ll"].map(list), g["lv"])), jt
+        if jt != "left anti":
+            rl = dict(zip(right["rv"].to_pylist(), right["rl"].to_pylist()))
+            for rv, x in zip(g["rv"], g["rl"]):
+                assert (x is None) if pd.isna(rv) else list(x) == rl[rv], jt

@@ -387,20 +387,43 @@ def test_sessionize_agg_matches_brute(ray_session):
 
 
 def test_bucketed_anti_join_int_keys(ray_session):
-    """Bucketed hash anti-join with integer keys (casts through the
-    tagged-union path)."""
+    """Bucketed hash anti-join with integer keys: values compare
+    exactly (int64 keys beyond 2^53 that differ only in their low bits
+    stay apart), a null FK comes out dangling, and the child's columns
+    keep their order and types (a list column included)."""
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
     from sod_ray.stages.constraints import bucketed_anti_join
 
-    child = rd.from_arrow(
-        pa.table({"fk": pa.array([1, 2, 3, 99, 100], pa.int64()),
-                  "payload": ["a", "b", "c", "d", "e"]})
+    big = 2**53 + 1
+    child_t = pa.table(
+        {
+            "fk": pa.array([1, 2, 3, 99, 100, None, big, big + 2], pa.int64()),
+            "payload": ["a", "b", "c", "d", "e", "f", "g", "h"],
+            "tags": pa.array(
+                [[i] for i in range(8)], pa.list_(pa.int32())
+            ),
+        }
     )
-    parent = rd.from_arrow(pa.table({"pk": pa.array(range(50), pa.int64())}))
-    out = bucketed_anti_join(child, parent, "fk", "pk", num_buckets=4).to_pandas()
-    assert sorted(out["payload"]) == ["d", "e"]
+    parent = rd.from_arrow(
+        pa.table({"pk": pa.array(list(range(50)) + [big + 1, big + 2], pa.int64())})
+    )
+    out = pa.concat_tables(
+        ray.get(
+            bucketed_anti_join(
+                rd.from_arrow(child_t), parent, "fk", "pk", num_buckets=4
+            ).to_arrow_refs()
+        )
+    )
+    assert out.schema == child_t.schema
+    assert sorted(out["payload"].to_pylist()) == ["d", "e", "f", "g"]
+    # data-sized buckets (num_buckets=None) agree
+    out2 = bucketed_anti_join(
+        rd.from_arrow(child_t), parent, "fk", "pk", num_buckets=None
+    ).to_pandas()
+    assert sorted(out2["payload"]) == ["d", "e", "f", "g"]
 
 
 def test_broadcast_joins_exact_values(ray_session):

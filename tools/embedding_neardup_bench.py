@@ -17,6 +17,7 @@ moves the landings from the default /tmp/embed_bench/spill.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -51,7 +52,7 @@ def gen_block(batch, dim: int, seed: int):
 
 
 def main(n_docs: int, dim: int, n_bands: int, spill=None) -> None:
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from sod_ray.stages.dedup import embedding_neardup
 
     ray.init(
@@ -77,7 +78,6 @@ def main(n_docs: int, dim: int, n_bands: int, spill=None) -> None:
     pairs = embedding_neardup(
         ds, "embedding", "vec_id", threshold=0.99,
         n_bands=(n_bands or None),  # 0 → corpus-aware auto-tune
-        small_corpus_rows=1,
         spill=spill,
     )
     pdf = pairs.to_pandas()

@@ -19,12 +19,13 @@ exchange disk-backed — required at 10^8 docs, where band rows (4-28 x
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tools.dedup_bench import gen_corpus  # noqa: E402
 

@@ -12,6 +12,7 @@ Usage: python tools/uniqueness_bench.py [n_rows] [dup_rate]
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -19,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main(n_rows: int, dup_rate: float) -> None:
