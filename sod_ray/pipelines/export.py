@@ -291,6 +291,7 @@ def run_export(
     import ray.data as rd
 
     from ..stages.dedup import apply_drops, neardup_drop_ids
+    from ..stages.exchange import sorted_lookup
     from ..stages.textstage import (
         gopher_stats_batch,
         normalize_url_array,
@@ -378,12 +379,8 @@ def run_export(
         if ref is not None:
 
             def keep_batch(t: pa.Table) -> pa.Table:
-                d = ray.get(ref)
                 ids = t[id_col].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(d, ids)
-                member = (pos < d.shape[0]) & (
-                    d[np.minimum(pos, d.shape[0] - 1)] == ids
-                )
+                member, _ = sorted_lookup(ray.get(ref), ids)
                 return t.filter(pa.array(~member))
 
             ds = ds.map_batches(keep_batch, batch_format="pyarrow")
@@ -617,24 +614,11 @@ def run_export(
             kref = ray.put(keep_ids)
 
             def not_kept(t: pa.Table) -> pa.Table:
-                k = ray.get(kref)
                 ids = t[id_col].to_numpy(zero_copy_only=False).astype(
                     np.int64
                 )
-                if k.shape[0] == 0:
-                    member = np.zeros(ids.shape[0], bool)
-                else:
-                    pos = np.minimum(
-                        np.searchsorted(k, ids), k.shape[0] - 1
-                    )
-                    member = k[pos] == ids
-                return pa.table(
-                    {
-                        "node": pa.array(
-                            ids[~member], pa.int64()
-                        )
-                    }
-                )
+                member, _ = sorted_lookup(ray.get(kref), ids)
+                return pa.table({"node": pa.array(ids[~member], pa.int64())})
 
             d = w.select_columns([id_col]).map_batches(
                 not_kept, batch_format="pyarrow"
@@ -1250,6 +1234,7 @@ def run_export_incremental(
 
     from ..sources.landing import LandingZone
     from ..stages.constraints import bucketed_anti_join
+    from ..stages.exchange import sorted_lookup
 
     cfg = cfg or CurateConfig()
     id_col, text_col = cfg.id_col, cfg.text_col
@@ -1349,12 +1334,11 @@ def run_export_incremental(
                 ref = ray.put(seen)
 
                 def drop_seen(t: pa.Table) -> pa.Table:
-                    s = ray.get(ref)
-                    if s.shape[0] == 0 or t.num_rows == 0:
+                    if t.num_rows == 0:
                         return t
                     hs = np.asarray(t["__h"].to_pylist(), dtype="S32")
-                    pos = np.minimum(np.searchsorted(s, hs), s.shape[0] - 1)
-                    return t.filter(pa.array(s[pos] != hs))
+                    seen, _ = sorted_lookup(ray.get(ref), hs)
+                    return t.filter(pa.array(~seen))
 
                 batch = batch.map_batches(drop_seen, batch_format="pyarrow")
             else:
@@ -1407,21 +1391,18 @@ def run_export_incremental(
                             # string objects over the index), exact
                             # string confirm only on the rare matches
                             s, s64 = ray.get(href)
-                            h64 = _h64(t["h"]).view(np.int64)
-                            pos = np.minimum(
-                                np.searchsorted(s64, h64),
-                                s64.shape[0] - 1,
+                            hit, _ = sorted_lookup(
+                                s64, _h64(t["h"]).view(np.int64)
                             )
-                            cand = t.filter(pa.array(s64[pos] == h64))
+                            cand = t.filter(pa.array(hit))
                             if cand.num_rows == 0:
                                 return cand
                             hs = np.asarray(
                                 cand["h"].to_pylist(), dtype="S32"
                             )
-                            p2 = np.minimum(
-                                np.searchsorted(s, hs), s.shape[0] - 1
+                            return cand.filter(
+                                pa.array(sorted_lookup(s, hs)[0])
                             )
-                            return cand.filter(pa.array(s[p2] == hs))
 
                         found = np.unique(
                             np.asarray(
@@ -1437,16 +1418,13 @@ def run_export_incremental(
                         fref = ray.put(found)
 
                         def drop_found(t: pa.Table) -> pa.Table:
-                            f = ray.get(fref)
-                            if f.shape[0] == 0 or t.num_rows == 0:
+                            if t.num_rows == 0:
                                 return t
                             hs = np.asarray(
                                 t["__h"].to_pylist(), dtype="S32"
                             )
-                            pos = np.minimum(
-                                np.searchsorted(f, hs), f.shape[0] - 1
-                            )
-                            return t.filter(pa.array(f[pos] != hs))
+                            found, _ = sorted_lookup(ray.get(fref), hs)
+                            return t.filter(pa.array(~found))
 
                         batch = miss.union(
                             hits.map_batches(
@@ -1485,12 +1463,11 @@ def run_export_incremental(
                 drop_ref = ray.put(np.sort(nd_drop))
 
                 def drop_neardups(t: pa.Table) -> pa.Table:
-                    d = ray.get(drop_ref)
                     tid = t[id_col].cast(pa.int64()).to_numpy(
                         zero_copy_only=False
                     )
-                    pos = np.minimum(np.searchsorted(d, tid), d.shape[0] - 1)
-                    return t.filter(pa.array(d[pos] != tid))
+                    dropped, _ = sorted_lookup(ray.get(drop_ref), tid)
+                    return t.filter(pa.array(~dropped))
 
                 batch = batch.map_batches(
                     drop_neardups, batch_format="pyarrow"

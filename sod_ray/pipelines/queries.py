@@ -352,6 +352,7 @@ def dup_cluster_ids(sf_dir: str):
         group_min_count,
         md5_slim,
     )
+    from ..stages.exchange import sorted_lookup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -413,12 +414,11 @@ def dup_cluster_ids(sf_dir: str):
         m = t["text_md5"].to_numpy(zero_copy_only=False)
         if dhs is None:
             # exact string-keyed probe (hash-collision fallback)
-            pos = np.minimum(np.searchsorted(dmd5, m), dmd5.shape[0] - 1)
-            idx = np.flatnonzero(dmd5[pos] == m)
+            found, pos = sorted_lookup(dmd5, m)
+            idx = np.flatnonzero(found)
         else:
             h = _h64(t["text_md5"].combine_chunks()).view(np.int64)
-            pos = np.minimum(np.searchsorted(dhs, h), dhs.shape[0] - 1)
-            hit = dhs[pos] == h
+            hit, pos = sorted_lookup(dhs, h)
             if not hit.any():
                 return empty
             # confirm hash hits with a string compare (collision-exact)
@@ -454,13 +454,8 @@ def dup_cluster_ids(sf_dir: str):
     def apply_labels(t: pa.Table) -> pa.Table:
         nodes, labs = ray.get(lab_ref)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        if nodes.shape[0] == 0:  # no dup pairs anywhere
-            cluster = ids
-        else:
-            pos = np.searchsorted(nodes, ids)
-            pos_c = np.minimum(pos, nodes.shape[0] - 1)
-            found = nodes[pos_c] == ids
-            cluster = np.where(found, labs[pos_c], ids)
+        found, pos = sorted_lookup(nodes, ids)
+        cluster = np.where(found, labs[pos], ids) if nodes.shape[0] else ids
         return pa.table(
             {"doc_id": t["doc_id"], "cluster_id": pa.array(cluster)}
         )
@@ -1129,7 +1124,7 @@ def doc_quality_scores(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = ds.map_batches(
-        TextFeatures, batch_format="pandas", concurrency=2
+        TextFeatures, batch_format="pandas", concurrency=(1, 4)
     )
     return out.select_columns(["doc_id", "n_chars", "n_tokens", "quality"])
 
@@ -1149,7 +1144,9 @@ def doc_quality_checked(sf_dir: str):
     from ..stages.textstage import TextFeatures
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(TextFeatures, batch_format="pandas", concurrency=2)
+    out = ds.map_batches(
+        TextFeatures, batch_format="pandas", concurrency=(1, 4)
+    )
 
     def finish(t: pa.Table) -> pa.Table:
         return _round_cols(t, {"punct_ratio": 6, "stopword_ratio": 6})
@@ -1203,7 +1200,7 @@ def lang_id_predictions(sf_dir: str):
     from ..stages.textstage import LangId
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-    out = ds.map_batches(LangId, batch_format="pandas", concurrency=2)
+    out = ds.map_batches(LangId, batch_format="pandas", concurrency=(1, 4))
     return out.select_columns(["doc_id", "lang", "lang_pred"])
 
 
@@ -1220,7 +1217,7 @@ def lang_id_checked(sf_dir: str):
     from ..stages.textstage import LangId
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-    out = ds.map_batches(LangId, batch_format="pandas", concurrency=2)
+    out = ds.map_batches(LangId, batch_format="pandas", concurrency=(1, 4))
     return out.select_columns(["doc_id", "lang", "lang_pred"])
 
 
@@ -2059,6 +2056,17 @@ def doc_winnow_fingerprints(sf_dir: str):
     functions/text.winnow_select — selection logic is hash-agnostic).
     Output: (doc_id, pos 1-based, fp) — the fingerprint index a
     plagiarism/overlap join builds on."""
+    out = (
+        _winnow_fp_rows(sf_dir)
+        .to_pandas()
+        .sort_values(["doc_id", "pos"])
+        .reset_index(drop=True)
+    )
+    return pa.Table.from_pandas(out, preserve_index=False)
+
+
+def _winnow_fp_rows(sf_dir: str):
+    """Unsorted (doc_id, pos, fp) rows of ``doc_winnow_fingerprints``."""
     import hashlib as _hl
 
     from ..functions.text import winnow_select
@@ -2088,13 +2096,7 @@ def doc_winnow_fingerprints(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(per_batch, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["doc_id", "pos"])
-        .reset_index(drop=True)
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return ds.map_batches(per_batch, batch_format="pyarrow")
 
 
 WINNOW_SQL = r"""
@@ -2130,26 +2132,34 @@ def winnow_overlap_pairs(sf_dir: str):
     docs share template phrases (measured background ~p99 = 27 shared
     fps per pair at sf0.01), so 40 isolates genuine near/exact
     duplicates (17 pairs) from the 124k-pair background. Composition:
-    the `doc_winnow_fingerprints` table → distinct (doc, fp) →
-    groupby fp → pair emission → pair count. Gate-scale demo of the
-    index join; the 10^12-doc overlap path is the MinHash/SimHash
-    family (banded, capped buckets) — this exact-count join is its
+    the `doc_winnow_fingerprints` rows, each 8-hex fingerprint read as
+    its exact 32-bit integer, through the distributed co-occurrence
+    chain of ``winnow_overlap_pairs_ds`` (``stages.dedup.
+    cooccurrence_pairs``: fp exchange → pair emission → pair-key
+    exchange, no df cap, counts ≥ 40). Gate-scale demo of the index
+    join; the 10^12-doc overlap path is the MinHash/SimHash family
+    (banded, capped buckets) — this exact-count join is its
     verification-tier analog."""
-    fps = doc_winnow_fingerprints(sf_dir).to_pandas()
-    fps = fps.drop_duplicates(["doc_id", "fp"])
-    pairs = fps.merge(fps, on="fp")
-    pairs = pairs[pairs["doc_id_x"] < pairs["doc_id_y"]]
-    out = (
-        pairs.groupby(["doc_id_x", "doc_id_y"])
-        .agg(n_shared=("fp", "nunique"))
-        .reset_index()
-        .rename(columns={"doc_id_x": "id_a", "doc_id_y": "id_b"})
+    import ray
+
+    from ..stages.blocks import arrow_block_refs
+    from ..stages.dedup import cooccurrence_pairs
+
+    def fp_ints(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "fp": pa.array(
+                    [int(h, 16) for h in t["fp"].to_pylist()], pa.int64()
+                ),
+                "doc": t["doc_id"].cast(pa.int64()),
+            }
+        )
+
+    rows = _winnow_fp_rows(sf_dir).map_batches(fp_ints, batch_format="pyarrow")
+    pairs = cooccurrence_pairs(rows, "fp", "n_shared", min_count=40)
+    return pa.concat_tables(ray.get(arrow_block_refs(pairs))).sort_by(
+        [("id_a", "ascending"), ("id_b", "ascending")]
     )
-    out = out[out["n_shared"] >= 40].sort_values(["id_a", "id_b"]).reset_index(
-        drop=True
-    )
-    out["n_shared"] = out["n_shared"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 WINNOW_PAIRS_SQL = (

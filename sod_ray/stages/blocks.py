@@ -37,14 +37,20 @@ def arrow_block_refs(ds) -> list:
     return arrow_block_refs_with_rows(ds)[0]
 
 
-def arrow_block_refs_with_rows(ds) -> tuple[list, int | None]:
-    """(block refs, total row count) — the count comes free from the
-    RefBundle metadata (no ray.get), letting exchange fan-out size
-    itself to the data instead of always spawning cluster-CPU reduce
-    tasks for a 2k-row input. None when any bundle lacks a count."""
+def arrow_block_refs_with_rows(ds) -> tuple[list, int | None, pa.Schema | None]:
+    """(block refs, total row count, Arrow schema) — the count and the
+    schema come free from the RefBundle metadata (no ray.get, no extra
+    ``ds.schema()`` execution), letting exchange fan-out size itself to
+    the data instead of always spawning cluster-CPU reduce tasks for a
+    2k-row input. The count is None when any bundle lacks one; the
+    schema is the first non-empty bundle schema, as ``Dataset.schema``
+    picks it, and None when no bundle carries an Arrow one."""
     out = []
     total: int | None = 0
+    schema = None
     for bundle in ds.iter_internal_ref_bundles():
+        if schema is None and bundle.schema is not None and len(bundle.schema.names):
+            schema = bundle.schema
         if total is not None:
             try:
                 n = bundle.num_rows()
@@ -63,4 +69,4 @@ def arrow_block_refs_with_rows(ds) -> tuple[list, int | None]:
             zero_copy = True
         for br in bundle.block_refs:
             out.append(br if zero_copy else _to_arrow_block.remote(br))
-    return out, total
+    return out, total, schema if isinstance(schema, pa.Schema) else None

@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 from .blocks import arrow_block_refs
+from .exchange import sorted_lookup
 
 
 def _np_i64(col) -> np.ndarray:
@@ -129,10 +130,8 @@ def _bucket_lookup(labels_p, pk: np.ndarray):
     lk, lv = labels_p
     if lk.shape[0] == 0 or pk.shape[0] == 0:
         return pk.copy()
-    pos = np.searchsorted(lk, pk)
-    pos_c = np.minimum(pos, lk.shape[0] - 1)
-    found = lk[pos_c] == pk
-    return np.where(found, lv[pos_c], pk)
+    found, pos = sorted_lookup(lk, pk)
+    return np.where(found, lv[pos], pk)
 
 
 @ray.remote

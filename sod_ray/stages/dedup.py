@@ -3,12 +3,15 @@ embedding-cosine near-dup.
 
 The reference has no dedup (SURVEY.md §2.5 G6) — this is the
 training-data-pipeline surface the brief requires as first-class.
-All paths follow the same scale shape:
+The near-dup paths follow one scale shape:
 
 1. per-batch vectorized signature computation (``map_batches``, numpy),
 2. explode to (bucket, doc_id) candidate rows — the ONLY thing shuffled,
-3. ``groupby(bucket)`` → candidate groups → verify inside ``map_groups``,
-4. emit duplicate pairs / keep-set.
+3. a raw-task hash exchange on the bucket key, whose reduce runs the
+   shared bucket-pairs kernel (``_bucket_pairs``) with the family's
+   count rule and score,
+4. a pair-key exchange whose reduce (``_pair_runs``) dedupes or counts
+   the pairs → duplicate pairs / drop set.
 
 Connected components over the verified pairs use iterative min-label
 propagation when asked to produce cluster ids; default output is the
@@ -28,9 +31,184 @@ import ray
 
 from ..state.sketches import hash64
 from .blocks import arrow_block_refs
-from .exchange import Spill, broadcast_rows_budget, land
+from .exchange import (
+    Spill,
+    broadcast_filter,
+    broadcast_rows_budget,
+    land,
+    sorted_lookup,
+)
 
 _MERSENNE = np.uint64((1 << 61) - 1)
+_BK_MIX = np.uint64(0x9E3779B97F4A7C15)
+_NO_IDS = np.empty(0, np.int64)
+
+#: Pairs one bucket expands at a time: a giant bucket emits its pairs in
+#: slices of whole rows, so the index arrays stay bounded by this (plus
+#: one row's pairs) whatever the bucket size.
+_PAIR_SLICE = 8_000_000
+
+
+# ---------------------------------------------------------------------------
+# Shared kernels: bucket pairs, pair runs, the co-occurrence chain
+# ---------------------------------------------------------------------------
+
+
+def _ints(t: pa.Table, name: str) -> np.ndarray:
+    """Column as int64 numpy; empty when a schema-less empty block lacks it."""
+    if name not in t.column_names:
+        return _NO_IDS
+    return t[name].cast(pa.int64()).to_numpy(zero_copy_only=False)
+
+
+def _sorted_runs(a: np.ndarray, b: np.ndarray):
+    """(order sorting the rows by (a, b), sorted positions where each
+    distinct (a, b) run starts)."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    new = np.ones(a.shape[0], bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order, np.flatnonzero(new)
+
+
+def _bucket_pairs(key: np.ndarray, ids: np.ndarray, rule=None):
+    """The bucket-pairs kernel every near-dup chain runs in its reduce
+    buckets. Sorts one bucket's rows by (key, id), drops repeated
+    (key, id) rows and gives each row its pair count: the upper
+    triangle of its key group (``gsz`` rows, the row at ``pos``), unless
+    ``rule(cnt, pos, gsz)`` rewrites the counts (star, oversize chain,
+    df cap). Returns ``(rows, slices)``: ``rows`` indexes the input in
+    that order, and ``slices`` yields ``(left, right)`` position arrays
+    into ``rows`` (left < right, same key, so id_a < id_b), whole rows
+    at a time and about ``_PAIR_SLICE`` pairs per slice."""
+    order, first = _sorted_runs(key, ids)
+    rows = order[first]
+    k = key[rows]
+    new = np.ones(k.shape[0], bool)
+    new[1:] = k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, k.shape[0]))
+    pos = np.arange(k.shape[0]) - np.repeat(starts, sizes)
+    gsz = np.repeat(sizes, sizes)
+    cnt = gsz - 1 - pos
+    if rule is not None:
+        cnt = rule(cnt, pos, gsz)
+    return rows, _expand_pairs(cnt)
+
+
+def _expand_pairs(cnt: np.ndarray):
+    """Row i pairs with the ``cnt[i]`` rows right after it: yields the
+    (left, right) expansion in slices of whole rows."""
+    base = np.concatenate(([0], np.cumsum(cnt)))
+    total = int(base[-1])
+    if total == 0:
+        return
+    bounds = np.searchsorted(
+        base[1:], np.arange(_PAIR_SLICE, total + _PAIR_SLICE, _PAIR_SLICE)
+    )
+    bounds = np.unique(
+        np.concatenate(([0], np.minimum(bounds + 1, cnt.shape[0])))
+    )
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        c = cnt[s0:s1]
+        tot = int(base[s1] - base[s0])
+        if tot == 0:
+            continue
+        left = np.repeat(np.arange(s0, s1), c)
+        right = left + 1 + np.arange(tot) - np.repeat(base[s0:s1] - base[s0], c)
+        yield left, right
+
+
+def _emission_rule(star: bool, cap: int):
+    """Count rule of the LSH candidate emission: ``star`` pairs each
+    bucket's min id with every other member; a bucket of more than
+    ``cap`` docs (a giant dup cluster) emits a consecutive-id chain."""
+
+    def rule(cnt, pos, gsz):
+        if star:
+            cnt = np.where(pos == 0, gsz - 1, 0)
+        return np.where(gsz > cap, (pos < gsz - 1).astype(np.int64), cnt)
+
+    return rule
+
+
+def _df_cap_rule(df_cap: int):
+    """Count rule dropping every key held by more than ``df_cap`` docs."""
+
+    def rule(cnt, pos, gsz):
+        return np.where(gsz > df_cap, 0, cnt)
+
+    return rule
+
+
+def _concat(parts: list, n: int) -> list:
+    """n int64 columns concatenated over per-slice tuples."""
+    if not parts:
+        return [_NO_IDS] * n
+    return [
+        np.concatenate([p[i] for p in parts]).astype(np.int64, copy=False)
+        for i in range(n)
+    ]
+
+
+def _bucket_id_pairs(key: np.ndarray, ids: np.ndarray, rule=None):
+    """(id_a, id_b) of every pair :func:`_bucket_pairs` emits."""
+    rows, slices = _bucket_pairs(key, ids, rule)
+    s = ids[rows]
+    return _concat([(s[left], s[right]) for left, right in slices], 2)
+
+
+def _pair_rows(ia: np.ndarray, ib: np.ndarray, **cols) -> pa.Table:
+    """Candidate pair rows for the pair-key exchange: (pk, id_a, id_b,
+    *cols). ``pk`` is a routing key only; the reduce compares the real
+    ids."""
+    pk = (ia.astype(np.uint64) * _BK_MIX ^ ib.astype(np.uint64)).view(np.int64)
+    out = {"pk": pk, "id_a": ia, "id_b": ib, **cols}
+    return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
+
+
+def _pair_runs(t: pa.Table, carry=(), count_col=None, min_count: int = 1):
+    """The pair-runs kernel: one pair-key bucket's distinct (id_a, id_b)
+    pairs in (id_a, id_b) order, each ``carry`` column taken from the
+    pair's first row. With ``count_col`` the run length (how many rows
+    carried the pair) is added and only runs >= ``min_count`` kept."""
+    a, b = _ints(t, "id_a"), _ints(t, "id_b")
+    order, starts = _sorted_runs(a, b)
+    idx = order[starts]
+    out = {"id_a": a[idx], "id_b": b[idx]}
+    out.update({c: _ints(t, c)[idx] for c in carry})
+    if count_col is not None:
+        n = np.diff(np.append(starts, a.shape[0]))
+        keep = n >= min_count
+        out = {c: v[keep] for c, v in out.items()}
+        out[count_col] = n[keep]
+    return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
+
+
+def cooccurrence_pairs(
+    rows, key: str, count_col: str, min_count: int = 1, df_cap=None,
+    num_buckets: int | None = None, spill: Spill | None = None,
+):
+    """The co-occurrence chain of the exact-count pair families
+    (``jaccard_all_pairs``, ``winnow_overlap_pairs_ds``, the
+    ``winnow_overlap_pairs`` query): (``key``, ``doc``) feature rows →
+    hash exchange on the feature → every doc pair sharing it (upper
+    triangle; ``df_cap`` drops features held by more docs) → hash
+    exchange on the pair key → (id_a, id_b, ``count_col``) pairs sharing
+    >= ``min_count`` distinct features. Repeated (feature, doc) rows
+    count once. ``spill`` runs both exchanges disk-backed."""
+    from .exchange import exchange_reduce
+
+    rule = None if df_cap is None else _df_cap_rule(df_cap)
+
+    def emit(t: pa.Table) -> pa.Table:
+        return _pair_rows(*_bucket_id_pairs(_ints(t, key), _ints(t, "doc"), rule))
+
+    def count(t: pa.Table) -> pa.Table:
+        return _pair_runs(t, count_col=count_col, min_count=min_count)
+
+    pair_rows = exchange_reduce(rows, key, emit, num_buckets, spill=spill)
+    return exchange_reduce(pair_rows, "pk", count, num_buckets, spill=spill)
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +334,12 @@ def exact_dedup(
     if broadcast_limit is None:
         broadcast_limit = broadcast_rows_budget()
     if n_win <= broadcast_limit:
-        win_np = np.sort(
+        win_np = (
             winners.select_columns(["win_id"]).to_pandas()["win_id"]
             .to_numpy()
             .astype(np.int64)
         )
-        win_ref = ray.put(win_np)
-
-        def keep_rows(t: pa.Table) -> pa.Table:
-            w = ray.get(win_ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(
-                np.int64, copy=False
-            )
-            if w.shape[0] == 0:
-                return t.slice(0, 0)
-            pos = np.minimum(np.searchsorted(w, ids), w.shape[0] - 1)
-            return t.filter(pa.array(w[pos] == ids))
-
-        return ds.map_batches(keep_rows, batch_format="pyarrow")
+        return broadcast_filter(ds, win_np, id_col)
 
     # winner set too large to broadcast: bucketed hash join on the id
     # column (winner ids are unique, so the inner join is a semi-join)
@@ -429,13 +595,13 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
     (stages/exchange). The former sort-based
     groupby(band,band_hash).map_groups + groupby(pair).aggregate pair
     was one Python call per dup bucket on top of two all-to-all
-    Dataset sorts (679 s of a 1666 s 30M-doc run). Per bucket: one
-    lexsort, run detection, and a single vectorized expansion that
-    covers all three emission shapes (triangle = full per-row counts,
-    star = counts only on run heads, oversize chain = count 1/row).
-    Shared by the MinHash and embedding LSH chains. Returns the
-    (small) distinct pair Dataset, materialized before the verify
-    joins.
+    Dataset sorts (679 s of a 1666 s 30M-doc run). Per bucket: the
+    shared ``_bucket_pairs`` kernel, whose count rule here covers the
+    three emission shapes (triangle = full per-row counts, star =
+    counts only on run heads, oversize chain = count 1/row); the pair
+    dedup is ``_pair_runs``. Shared by the MinHash and embedding LSH
+    chains. Returns the (small) distinct pair Dataset, materialized
+    before the verify joins.
 
     ``spill``: the candidate-emission exchange runs disk-backed (the
     10⁹-doc tier, where the pruned band rows exceed the object store)
@@ -450,83 +616,18 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
         return t.append_column("bk", _bucket_key64(t))
 
     keyed = band_rows.map_batches(add_bk, batch_format="pyarrow")
-    pair_schema = pa.schema(
-        [("pk", pa.int64()), ("id_a", pa.int64()), ("id_b", pa.int64())]
-    )
-    emission_star = pair_emission == "star"
-    cap = max_bucket_size
+    rule = _emission_rule(pair_emission == "star", max_bucket_size)
 
     def emit_candidates(t: pa.Table) -> pa.Table:
-        empty = pair_schema.empty_table()
-        if t.num_rows == 0 or "bk" not in t.column_names:
-            return empty
-        bk = t["bk"].to_numpy(zero_copy_only=False)
-        ids = t[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bk))
-        bk, ids = bk[order], ids[order]
-        # drop duplicate (bucket, id) rows — a doc appears once per band
-        keep = np.concatenate(
-            ([True], (bk[1:] != bk[:-1]) | (ids[1:] != ids[:-1]))
-        )
-        bk, ids = bk[keep], ids[keep]
-        new = np.concatenate(([True], bk[1:] != bk[:-1]))
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate((starts, [bk.shape[0]])))
-        pos = np.arange(bk.shape[0]) - np.repeat(starts, sizes)
-        gsz = np.repeat(sizes, sizes)
-        if emission_star:
-            cnt = np.where(pos == 0, gsz - 1, 0)
-        else:
-            cnt = gsz - 1 - pos  # upper triangle
-        big = gsz > cap  # giant dup cluster: consecutive-id chain
-        if big.any():
-            cnt = np.where(big, (pos < gsz - 1).astype(np.int64), cnt)
-        total = int(cnt.sum())
-        if total == 0:
-            return empty
-        left = np.repeat(np.arange(bk.shape[0]), cnt)
-        cum = np.cumsum(cnt)
-        offset = np.arange(total) - np.repeat(cum - cnt, cnt) + 1
-        ia, ib = ids[left], ids[left + offset]
-        pk = (
-            ia.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ^ ib.astype(np.uint64)
-        ).view(np.int64)  # routing key only; dedup compares real ids
-        return pa.table(
-            {
-                "pk": pa.array(pk, pa.int64()),
-                "id_a": pa.array(ia, pa.int64()),
-                "id_b": pa.array(ib, pa.int64()),
-            }
-        )
+        return _pair_rows(*_bucket_id_pairs(_ints(t, "bk"), _ints(t, id_col), rule))
 
     cand = exchange_reduce(keyed, "bk", emit_candidates, spill=spill)
     del keyed
     if spill is not None:
         spill.free("pruned")  # the exchange landing was its last read
 
-    def distinct_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.schema(
-            [("id_a", pa.int64()), ("id_b", pa.int64())]
-        ).empty_table()
-        if t.num_rows == 0 or "id_a" not in t.column_names:
-            return empty
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.concatenate(
-            ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]))
-        )
-        return pa.table(
-            {
-                "id_a": pa.array(a[keep], pa.int64()),
-                "id_b": pa.array(b[keep], pa.int64()),
-            }
-        )
-
     # land the (small) distinct pair list before the verify joins
-    return exchange_reduce(cand, "pk", distinct_pairs).materialize()
+    return exchange_reduce(cand, "pk", _pair_runs).materialize()
 
 
 def _bucket_key64(t: pa.Table):
@@ -568,33 +669,6 @@ def _bucket_hot_keys(*pieces) -> np.ndarray:
     if dup.shape[0] == 0:
         return dup
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
-
-
-def _broadcast_key_filter(band_rows, key64_of, hot_np: np.ndarray):
-    """Keep only rows whose composite key is in ``hot_np``: broadcast
-    the keys SORTED once and probe per batch with ``np.searchsorted``.
-
-    Not ``pc.is_in``: is_in rebuilds its hash set from the value_set on
-    EVERY call, and map_batches cuts blocks into ~131k-row batches — a
-    16M-key set costs ~2.3 s to build, so a 1.4B-row filter pays
-    ~10,600 rebuilds (~25 CPU-min/worker; measured grinding 32 CPUs for
-    18+ min on the 50M-doc × 28-table SimHash corpus). The sorted-probe
-    is O(batch · log keys) with zero per-batch setup, so plain tasks
-    (zero-copy local ray.get) stay the right choice over an actor pool.
-    Returns the lazy filtered Dataset."""
-    hot_np = np.sort(hot_np)
-    key_ref = ray.put(hot_np)
-
-    def hot_filter(t: pa.Table) -> pa.Table:
-        hot = ray.get(key_ref)
-        if hot.shape[0] == 0 or t.num_rows == 0:
-            return t.slice(0, 0)
-        ks = key64_of(t).to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(hot, ks)
-        mask = hot[np.minimum(pos, hot.shape[0] - 1)] == ks
-        return t.filter(pa.array(mask))
-
-    return band_rows.map_batches(hot_filter, batch_format="pyarrow")
 
 
 def _prune_singleton_buckets(
@@ -654,7 +728,7 @@ def _prune_singleton_buckets(
             .sum()
         )
         hot_np = pdf.loc[pdf["c"] >= 2, "key"].to_numpy()
-        return finish(_broadcast_key_filter(band_rows, key64_of, hot_np))
+        return finish(broadcast_filter(band_rows, hot_np, key64_of))
 
     # >5M band rows: sharded hot-key detection via a raw-task hash-
     # bucket exchange of ONLY the 8-byte composite keys (the
@@ -691,7 +765,7 @@ def _prune_singleton_buckets(
         # dup buckets are few (the common case — planted-dup corpora
         # measure <1% of docs in dup buckets): broadcast the composite
         # keys once. 8 B/key → ≤160 MB.
-        return finish(_broadcast_key_filter(band_rows, key64_of, hot_np))
+        return finish(broadcast_filter(band_rows, hot_np, key64_of))
     # dup-heavy corpus (>20M dup buckets): broadcast would pin too
     # much worker heap — distributed hash join against the hot-key
     # table instead (the hot keys are unique, so the inner join acts
@@ -739,7 +813,6 @@ def _verify_pairs_distributed(
     sig_rows,
     id_col: str,
     threshold: float,
-    endpoint_broadcast_limit: int | None = None,
     payload_col: str = "sig",
     out_col: str = "jaccard_est",
     scorer=None,
@@ -758,8 +831,8 @@ def _verify_pairs_distributed(
     magnitude smaller than the corpus, yet a naive join re-shuffles the
     FULL signature table both times (~4.2 GB twice at 30M docs for
     ~300k pairs — measured 432 s of a 1666 s run). When the distinct
-    endpoint count fits ``endpoint_broadcast_limit`` (8 B/id — 160 MB
-    at the default), broadcast it once and filter sig_rows to only the
+    endpoint count fits the broadcast budget (8 B/id — 160 MB at the
+    20M default), broadcast it once and filter sig_rows to only the
     referenced docs in one scan, so the joins shuffle candidate-sized
     tables. Dup-heavy corpora past the limit fall back to the full
     join, which is then the right shape anyway.
@@ -769,10 +842,7 @@ def _verify_pairs_distributed(
     through the in-plasma exchange — measured); only the SCORED pairs,
     threshold-filtered with payloads dropped, are materialized."""
     n_pairs = pairs.count()
-    if endpoint_broadcast_limit is None:
-        endpoint_broadcast_limit = broadcast_rows_budget(
-            bytes_per_row=8, fraction=0.004
-        )
+    limit = broadcast_rows_budget(bytes_per_row=8, fraction=0.004)
     # gate on the ACTUAL distinct endpoint count, not the 2·n_pairs
     # proxy: star emission makes endpoints ≈ n_pairs (each member pairs
     # with its bucket hub), so the proxy overcounts ~2× and a 60M-doc
@@ -783,7 +853,7 @@ def _verify_pairs_distributed(
     # the budget (~2.6 GB at the 20M default) and assume over-budget
     # beyond it.
     eps = None
-    if 0 < 2 * n_pairs <= 8 * endpoint_broadcast_limit:
+    if 0 < 2 * n_pairs <= 8 * limit:
         parts = ray.get(
             [_pair_endpoints.remote(r) for r in arrow_block_refs(pairs)]
         )
@@ -792,32 +862,12 @@ def _verify_pairs_distributed(
             if parts
             else np.empty(0, np.int64)
         )
-        if eps.shape[0] > endpoint_broadcast_limit:
+        if eps.shape[0] > limit:
             eps = None
     if eps is not None:
-        ep_ref = ray.put(eps)  # already unique-sorted
-
-        def sig_filter(t: pa.Table) -> pa.Table:
-            # plain task: the broadcast id array is a zero-copy local
-            # read. Sorted-probe, not pc.is_in — is_in rebuilds its
-            # hash set per ~131k-row batch (~2.3 s at 16M ids; see
-            # _broadcast_key_filter), searchsorted has no per-batch
-            # setup.
-            ep = ray.get(ep_ref)
-            if ep.shape[0] == 0 or t.num_rows == 0:
-                return t.slice(0, 0)
-            ids = (
-                t[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            )
-            pos = np.searchsorted(ep, ids)
-            mask = ep[np.minimum(pos, ep.shape[0] - 1)] == ids
-            return t.filter(pa.array(mask))
-
         # land the (endpoint-sized) subset: sa and sb both branch off it,
         # so an unlanded filter would rescan the full sig table twice
-        sig_rows = sig_rows.map_batches(
-            sig_filter, batch_format="pyarrow"
-        ).materialize()
+        sig_rows = broadcast_filter(sig_rows, eps, id_col).materialize()
 
     score = scorer or _sig_agreement
 
@@ -853,9 +903,8 @@ def _verify_pairs_distributed(
 
 
 def _make_est_batch(score, threshold, out_col):
-    """Per-batch pair scorer shared by the in-plasma and disk-backed
-    verify paths: score the two payload columns, keep >= threshold,
-    drop payloads."""
+    """Per-batch pair scorer of the verify join: score the two payload
+    columns, keep >= threshold, drop payloads."""
 
     def est_batch(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -1123,89 +1172,23 @@ def simhash_dedup(
         spill=spill,
     )
 
-    pair_schema = pa.schema(
-        [
-            ("pk", pa.int64()),
-            ("id_a", pa.int64()),
-            ("id_b", pa.int64()),
-            ("hamming", pa.int64()),
-        ]
-    )
-
     def verify_bucket(t: pa.Table) -> pa.Table:
-        empty = pair_schema.empty_table()
-        if t.num_rows == 0 or "bk" not in t.column_names:
-            return empty
-        bk = t["bk"].to_numpy(zero_copy_only=False)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
+        ids = _ints(t, id_col)
+        rows, slices = _bucket_pairs(_ints(t, "bk"), ids)
+        ids = ids[rows]
         shs = [
-            t[c].to_numpy(zero_copy_only=False).astype(np.uint64)
+            t[c].to_numpy(zero_copy_only=False).astype(np.uint64)[rows]
             for c in sig_cols
+            if c in t.column_names
         ]
-        order = np.lexsort((ids, bk))
-        bk, ids = bk[order], ids[order]
-        shs = [s[order] for s in shs]
-        keep = np.concatenate(
-            ([True], (bk[1:] != bk[:-1]) | (ids[1:] != ids[:-1]))
-        )
-        bk, ids = bk[keep], ids[keep]
-        shs = [s[keep] for s in shs]
-        new = np.concatenate(([True], bk[1:] != bk[:-1]))
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate((starts, [bk.shape[0]])))
-        pos = np.arange(bk.shape[0]) - np.repeat(starts, sizes)
-        gsz = np.repeat(sizes, sizes)
-        cnt = gsz - 1 - pos  # upper-triangle expansion per row
-        cum = np.cumsum(cnt)
-        total = int(cum[-1]) if cum.size else 0
-        if total == 0:
-            return empty
         outs = []
-        # sliced expansion: a giant bucket emits its pairs in ~8M-pair
-        # slices so candidate memory stays bounded regardless of
-        # bucket size (only pairs that PASS the hamming check persist)
-        slice_pairs = 8_000_000
-        row_bounds = np.searchsorted(
-            cum, np.arange(slice_pairs, total + slice_pairs, slice_pairs)
-        )
-        row_bounds = np.unique(
-            np.concatenate(
-                ([0], np.minimum(row_bounds + 1, cnt.shape[0]))
-            )
-        )
-        base = np.concatenate(([0], cum))
-        for s0, s1 in zip(row_bounds[:-1], row_bounds[1:]):
-            c = cnt[s0:s1]
-            tot = int(c.sum())
-            if tot == 0:
-                continue
-            left = np.repeat(np.arange(s0, s1), c)
-            ccum = base[s0:s1] + c - base[s0]
-            offset = np.arange(tot) - np.repeat(ccum - c, c) + 1
-            right = left + offset
-            ham = _popcount64(shs[0][left] ^ shs[0][right])
-            for s in shs[1:]:
-                ham = ham + _popcount64(s[left] ^ s[right])
+        # only pairs that PASS the hamming check outlive their slice
+        for left, right in slices:
+            ham = sum(_popcount64(s[left] ^ s[right]) for s in shs)
             m = ham <= max_hamming
-            if m.any():
-                outs.append((ids[left[m]], ids[right[m]], ham[m]))
-        if not outs:
-            return empty
-        ia = np.concatenate([o[0] for o in outs]).astype(np.int64)
-        ib = np.concatenate([o[1] for o in outs]).astype(np.int64)
-        hm = np.concatenate([o[2] for o in outs]).astype(np.int64)
-        pk = (
-            ia.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ^ ib.astype(np.uint64)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "pk": pa.array(pk),
-                "id_a": pa.array(ia),
-                "id_b": pa.array(ib),
-                "hamming": pa.array(hm),
-            }
-        )
+            outs.append((ids[left[m]], ids[right[m]], ham[m]))
+        ia, ib, hm = _concat(outs, 3)
+        return _pair_rows(ia, ib, hamming=hm)
 
     cand = exchange_reduce(band_rows, "bk", verify_bucket, spill=spill)
     del band_rows
@@ -1213,91 +1196,14 @@ def simhash_dedup(
         spill.free("pruned")  # the exchange landing was its last read
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.schema(
-            [("id_a", pa.int64()), ("id_b", pa.int64()), ("hamming", pa.int64())]
-        ).empty_table()
-        if t.num_rows == 0 or "id_a" not in t.column_names:
-            return empty
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-        h = t["hamming"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b, h = a[order], b[order], h[order]
-        keep = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-        return pa.table(
-            {
-                "id_a": pa.array(a[keep], pa.int64()),
-                "id_b": pa.array(b[keep], pa.int64()),
-                "hamming": pa.array(h[keep], pa.int64()),
-            }
-        )
+        return _pair_runs(t, carry=("hamming",))
 
     return exchange_reduce(cand, "pk", distinct_pairs)
 
 
 # ---------------------------------------------------------------------------
-# n-gram Jaccard (exact, within candidate buckets)
+# Exact n-gram Jaccard
 # ---------------------------------------------------------------------------
-
-
-def ngram_jaccard_pairs(
-    ds,
-    text_col: str,
-    id_col: str,
-    n: int = 3,
-    threshold: float = 0.8,
-    bucket_col: str | None = None,
-):
-    """Exact n-gram Jaccard similarity for pairs.
-
-    ``bucket_col=None`` (global) routes straight to
-    :func:`jaccard_all_pairs` — the three-exchange scale shape, no
-    per-group Python (r4; same tokenization, hashed shingles). With a
-    ``bucket_col`` (e.g. lang or an LSH band) the quadratic verify runs
-    per bucket via ``map_groups`` — a small-bucket contract by
-    definition (the caller chose buckets to keep the verify local)."""
-    if bucket_col is None:
-        return jaccard_all_pairs(ds, text_col, id_col, n=n, threshold=threshold)
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(id_col).sort_values(id_col, kind="stable")
-        ids = g[id_col].to_numpy()
-        grams = []
-        for t in g[text_col]:
-            toks = t.split() if isinstance(t, str) else []
-            grams.append(
-                {tuple(toks[i : i + n]) for i in range(max(0, len(toks) - n + 1))}
-            )
-        out_a, out_b, out_j = [], [], []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                gi, gj = grams[i], grams[j]
-                if not gi and not gj:
-                    continue
-                jac = len(gi & gj) / len(gi | gj)
-                if jac >= threshold:
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-                    out_j.append(jac)
-        if not out_a:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    "jaccard": pd.Series(dtype="float64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "id_a": np.asarray(out_a, dtype=np.int64),
-                "id_b": np.asarray(out_b, dtype=np.int64),
-                "jaccard": np.asarray(out_j, dtype=np.float64),
-            }
-        )
-
-    return ds.groupby(bucket_col).map_groups(
-        per_bucket, batch_format="pandas"
-    )
 
 
 def jaccard_all_pairs(
@@ -1308,7 +1214,6 @@ def jaccard_all_pairs(
     threshold: float = 0.8,
     num_buckets: int | None = None,
     broadcast_limit: int | None = None,
-    max_shingle_df: int | None = None,
 ):
     """Globally EXACT n-gram Jaccard pairs (id_a < id_b, jaccard >=
     threshold) — the exact ground truth the MinHash-LSH chain
@@ -1323,192 +1228,70 @@ def jaccard_all_pairs(
          (clean set-Jaccard, which is what SQL can express; the LSH
          verify's first-token fallback for short docs is the one
          documented divergence),
-      2. hash exchange on shingle → vectorized upper-triangle pair
-         expansion per shingle group (no per-group Python callable),
-      3. hash exchange on the pair key → run-length co-occurrence
-         counts; |A∪B| = n_a + n_b − inter via a broadcast sizes
-         lookup (≤ ``broadcast_limit`` docs) or two bucketed
-         equi-joins above it.
+      2. the shared co-occurrence chain (``cooccurrence_pairs``, no df
+         cap, every count kept): shingle exchange → upper-triangle pair
+         expansion per shingle group → pair-key exchange → |A∩B| as
+         run-length counts,
+      3. an exchange on doc → shingle counts; |A∪B| = n_a + n_b − inter
+         via a broadcast sizes lookup (≤ ``broadcast_limit`` docs) or
+         two bucketed equi-joins above it.
 
     SCALE CAVEAT (inherent to exactness): a shingle shared by g docs
     emits g(g−1)/2 pair rows, so boilerplate-heavy corpora blow up
     step 2 quadratically — which is exactly why the LSH chain exists.
-    ``max_shingle_df`` optionally drops shingles with document
-    frequency above a cap (stopword-like n-grams); that UNDERCOUNTS
-    intersections, so leave it None for exact semantics.
     """
     from .exchange import exchange_reduce
 
     def to_shingle_rows(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        tids = _token_ids(texts)
-        ids = t[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        shs, docs = [], []
+        tids = _token_ids(t[text_col].to_pylist())
+        ids = _ints(t, id_col)
+        parts = []
         for i, tid in enumerate(tids):
             if tid.shape[0] < n:
                 continue  # no shingles — mirrors the SQL twin exactly
             s = _shingle_hashes(tid, n)  # already np.unique'd
-            shs.append(s)
-            docs.append(np.full(s.shape[0], ids[i], dtype=np.int64))
-        if not shs:
-            return pa.table(
-                {
-                    "sh": pa.array([], pa.int64()),
-                    "doc": pa.array([], pa.int64()),
-                }
-            )
+            parts.append((s.view(np.int64), np.full(s.shape[0], ids[i])))
+        sh, doc = _concat(parts, 2)
         return pa.table(
-            {
-                "sh": pa.array(np.concatenate(shs).view(np.int64), pa.int64()),
-                "doc": pa.array(np.concatenate(docs), pa.int64()),
-            }
+            {"sh": pa.array(sh, pa.int64()), "doc": pa.array(doc, pa.int64())}
         )
 
     slim = ds.map_batches(to_shingle_rows, batch_format="pyarrow").materialize()
-
-    def emit_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "pk": pa.array([], pa.int64()),
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0 or "sh" not in t.column_names:
-            return empty
-        sh = t["sh"].to_numpy(zero_copy_only=False)
-        doc = t["doc"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, sh))
-        sh, doc = sh[order], doc[order]
-        new = np.concatenate(([True], sh[1:] != sh[:-1]))
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate((starts, [sh.shape[0]])))
-        # per row: how many later rows of its shingle group it pairs with
-        pos = np.arange(sh.shape[0]) - np.repeat(starts, sizes)
-        gsz = np.repeat(sizes, sizes)
-        cnt = gsz - 1 - pos
-        if max_shingle_df is not None:
-            cnt[gsz > max_shingle_df] = 0
-        total = int(cnt.sum())
-        if total == 0:
-            return empty
-        left = np.repeat(np.arange(sh.shape[0]), cnt)
-        cum = np.cumsum(cnt)
-        offset = np.arange(total) - np.repeat(cum - cnt, cnt) + 1
-        right = left + offset
-        # doc ascending within a shingle group and unique per (doc, sh)
-        # → left index < right index implies id_a < id_b
-        ia, ib = doc[left], doc[right]
-        pk = (
-            ia.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            ^ ib.astype(np.uint64)
-        ).view(np.int64)  # routing key only; reduce compares real ids
-        return pa.table(
-            {
-                "pk": pa.array(pk, pa.int64()),
-                "id_a": pa.array(ia, pa.int64()),
-                "id_b": pa.array(ib, pa.int64()),
-            }
-        )
-
-    pair_rows = exchange_reduce(slim, "sh", emit_pairs, num_buckets)
-
-    def count_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "inter": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0 or "id_a" not in t.column_names:
-            return empty
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        new = np.concatenate(
-            ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]))
-        )
-        starts = np.flatnonzero(new)
-        cnts = np.diff(np.concatenate((starts, [a.shape[0]])))
-        return pa.table(
-            {
-                "id_a": pa.array(a[starts], pa.int64()),
-                "id_b": pa.array(b[starts], pa.int64()),
-                "inter": pa.array(cnts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    inter = exchange_reduce(pair_rows, "pk", count_pairs, num_buckets)
+    inter = cooccurrence_pairs(slim, "sh", "inter", num_buckets=num_buckets)
 
     def count_docs(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc": pa.array([], pa.int64()),
-                "n_sh": pa.array([], pa.int64()),
-            }
-        )
-        if t.num_rows == 0 or "doc" not in t.column_names:
-            return empty
-        d = np.sort(t["doc"].to_numpy(zero_copy_only=False))
-        new = np.concatenate(([True], d[1:] != d[:-1]))
-        starts = np.flatnonzero(new)
-        cnts = np.diff(np.concatenate((starts, [d.shape[0]])))
+        d, c = np.unique(_ints(t, "doc"), return_counts=True)
         return pa.table(
-            {
-                "doc": pa.array(d[starts], pa.int64()),
-                "n_sh": pa.array(cnts.astype(np.int64), pa.int64()),
-            }
+            {"doc": pa.array(d, pa.int64()), "n_sh": pa.array(c, pa.int64())}
         )
 
     sizes = exchange_reduce(slim, "doc", count_docs, num_buckets)
     thr = float(threshold)
 
+    def score(t: pa.Table, na: np.ndarray, nb: np.ndarray) -> pa.Table:
+        c = _ints(t, "inter").astype(np.float64)
+        jac = c / (na + nb - c)
+        keep = jac >= thr
+        return pa.table(
+            {
+                "id_a": pa.array(_ints(t, "id_a")[keep], pa.int64()),
+                "id_b": pa.array(_ints(t, "id_b")[keep], pa.int64()),
+                "jaccard": pa.array(jac[keep], pa.float64()),
+            }
+        )
+
     if broadcast_limit is None:
         broadcast_limit = broadcast_rows_budget()
     if sizes.count() <= broadcast_limit:
         parts = [p for p in ray.get(arrow_block_refs(sizes)) if p.num_rows]
-        if not parts:
-            return inter.map_batches(
-                lambda t: t.slice(0, 0).append_column(
-                    "jaccard", pa.array([], pa.float64())
-                ).drop_columns(["inter"]),
-                batch_format="pyarrow",
-            )
-        st = pa.concat_tables(parts)
-        dn = st["doc"].to_numpy(zero_copy_only=False)
-        sn = st["n_sh"].to_numpy(zero_copy_only=False)
-        order = np.argsort(dn)
-        size_ref = ray.put((dn[order], sn[order]))
+        st = pa.concat_tables(parts) if parts else count_docs(pa.table({}))
+        order = np.argsort(_ints(st, "doc"))
+        size_ref = ray.put((_ints(st, "doc")[order], _ints(st, "n_sh")[order]))
 
         def finish_bcast(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-            if t.num_rows == 0 or "id_a" not in t.column_names:
-                return empty
-            docs_sorted, ns = ray.get(size_ref)
-            a = t["id_a"].to_numpy(zero_copy_only=False)
-            b = t["id_b"].to_numpy(zero_copy_only=False)
-            c = t["inter"].to_numpy(zero_copy_only=False).astype(np.float64)
-            na = ns[np.searchsorted(docs_sorted, a)]
-            nb = ns[np.searchsorted(docs_sorted, b)]
-            jac = c / (na + nb - c)
-            keep = jac >= thr
-            if not keep.any():
-                return empty
-            return pa.table(
-                {
-                    "id_a": pa.array(a[keep], pa.int64()),
-                    "id_b": pa.array(b[keep], pa.int64()),
-                    "jaccard": pa.array(jac[keep], pa.float64()),
-                }
-            )
+            docs, ns = ray.get(size_ref)
+            na = ns[np.searchsorted(docs, _ints(t, "id_a"))]
+            return score(t, na, ns[np.searchsorted(docs, _ints(t, "id_b"))])
 
         return inter.map_batches(finish_bcast, batch_format="pyarrow")
 
@@ -1526,31 +1309,10 @@ def jaccard_all_pairs(
     joined = bucketed_equi_join(
         bucketed_equi_join(inter, sa, key="id_a"), sb, key="id_b"
     )
-
-    def finish_joined(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
-        if t.num_rows == 0 or "id_a" not in t.column_names:
-            return empty
-        c = t["inter"].to_numpy(zero_copy_only=False).astype(np.float64)
-        na = t["n_a"].to_numpy(zero_copy_only=False)
-        nb = t["n_b"].to_numpy(zero_copy_only=False)
-        jac = c / (na + nb - c)
-        keep = jac >= thr
-        return pa.table(
-            {
-                "id_a": t["id_a"].cast(pa.int64()).filter(pa.array(keep)),
-                "id_b": t["id_b"].cast(pa.int64()).filter(pa.array(keep)),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
-
-    return joined.map_batches(finish_joined, batch_format="pyarrow")
+    return joined.map_batches(
+        lambda t: score(t, _ints(t, "n_a"), _ints(t, "n_b")),
+        batch_format="pyarrow",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1631,17 +1393,21 @@ def embedding_neardup(
     subset of it (precision 1.0) because the verify recomputes the true
     cosine.
 
-    One code path for every corpus size (the former in-row small path
-    was removed in r4 so small and large share the exchange-verify
-    kernel): one scan lands (id, vn) rows (4·d B/doc, once, NOT per
-    band), only slim (band, bucket, id) rows cross the banding shuffle,
-    singleton buckets are pruned, the shared ``_candidate_pairs``
-    exchanges emit distinct candidate pairs (``pair_emission``/
-    ``max_bucket_size`` as in ``minhash_lsh_dedup``), and verify is the
-    distributed payload join with a dot-product scorer.
-    ``small_corpus_rows`` is kept for API compatibility and ignored.
+    One code path for every corpus size: one scan lands normalized
+    float32 (id, vn) rows (4·d B/doc, once, NOT per band), only slim
+    (band, bucket, id) rows cross the banding shuffle, singleton
+    buckets are pruned, the shared ``_candidate_pairs`` exchanges emit
+    distinct candidate pairs (``pair_emission``/``max_bucket_size`` as
+    in ``minhash_lsh_dedup``), and verify is the distributed payload
+    join with a dot-product scorer. ``small_corpus_rows`` is kept for
+    API compatibility and ignored.
+
     ``spill`` lands every intermediate table and runs the exchange and
-    joins disk-backed, as in ``minhash_lsh_dedup``.
+    joins disk-backed, as in ``minhash_lsh_dedup``. The vector table
+    (7.7 GB at 30M×64d, incompressible) is then streamed by both of its
+    readers instead of pinned in the object store against the banding
+    and verify shuffles (a 30M×64d run without it died in raylet-spill
+    ENOSPC on an ~80 GB disk).
     """
     if pair_emission not in ("pairs", "star"):
         raise ValueError(
@@ -1651,26 +1417,6 @@ def embedding_neardup(
     n_planes, n_bands = embedding_lsh_params(
         n_docs, threshold, n_planes, n_bands
     )
-    return _embedding_large(
-        ds, vec_col, id_col, threshold, n_planes, seed, dim, n_bands,
-        max_bucket_size, pair_emission, spill,
-    )
-
-
-def _embedding_large(
-    ds, vec_col, id_col, threshold, n_planes, seed, dim, n_bands,
-    max_bucket_size, pair_emission, spill=None,
-):
-    """Large-corpus embedding LSH (see embedding_neardup docstring):
-    lands normalized float32 vectors ONCE, shuffles only slim
-    (band, bucket, id) rows, reuses the MinHash chain's candidate
-    exchanges and distributed payload-join verify.
-
-    With ``spill`` the normalized table (4·d B/doc — 7.7 GB at
-    30M×64d, incompressible) lands as parquet and both consumers
-    STREAM it, instead of pinning it in the object store against the
-    banding and verify shuffles (a 30M×64d run without it died in
-    raylet-spill ENOSPC on an ~80 GB disk)."""
     from .similarity import _normalize, _to_matrix
 
     def to_vec_rows(batch: pa.Table) -> pa.Table:
@@ -1959,15 +1705,25 @@ def neardup_drop_ids(
     all-pairs with byte-identical drop sets. Pass
     ``pair_emission="pairs"`` for exhaustive pair verification when
     families are marginal/chain-shaped."""
-    pairs = minhash_lsh_dedup(
-        ds,
-        text_col,
-        id_col,
-        jaccard_threshold=jaccard_threshold,
-        as_dataset=True,
-        pair_emission=pair_emission,
-        **lsh_kwargs,
-    ).map_batches(
+    return _non_canonical_ids(
+        minhash_lsh_dedup(
+            ds,
+            text_col,
+            id_col,
+            jaccard_threshold=jaccard_threshold,
+            as_dataset=True,
+            pair_emission=pair_emission,
+            **lsh_kwargs,
+        )
+    )
+
+
+def _non_canonical_ids(pairs):
+    """Pair Dataset (id_a, id_b, ...) → the drop-id Dataset of every
+    near-dup family: distributed connected components, then each member
+    whose label (the min member id, the canonical doc) is not its own
+    id. ``None`` when there is no pair."""
+    pairs = pairs.map_batches(
         lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
     ).materialize()
     if pairs.count() == 0:  # no near-dups anywhere
@@ -2007,24 +1763,13 @@ def apply_drops(
     if broadcast_limit is None:
         broadcast_limit = broadcast_rows_budget()
     if n_drop <= broadcast_limit:
-        drop_ids = np.sort(
-            np.concatenate(
-                [
-                    b["node"].to_numpy()
-                    for b in drop_ds.iter_batches(batch_format="pyarrow")
-                ]
-            )
+        drop_ids = np.concatenate(
+            [
+                b["node"].to_numpy()
+                for b in drop_ds.iter_batches(batch_format="pyarrow")
+            ]
         )
-        ref = ray.put(drop_ids)
-
-        def keep_batch(t: pa.Table) -> pa.Table:
-            d = ray.get(ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(d, ids)
-            member = (pos < d.shape[0]) & (d[np.minimum(pos, d.shape[0] - 1)] == ids)
-            return t.filter(pa.array(~member))
-
-        return ds.map_batches(keep_batch, batch_format="pyarrow")
+        return broadcast_filter(ds, drop_ids, id_col, keep=False)
     return bucketed_anti_join(ds, drop_ds, fk=id_col, pk="node")
 
 
@@ -2057,8 +1802,6 @@ def neardup_dedup_corpus(
 # arrival batches are incremental (they fit one node's memory — that
 # is what an arrival batch IS); the accumulated INDEX does not and is
 # only ever STREAMED (two column-pruned scans per batch, no shuffle).
-
-_BK_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _fold_bk(bh: np.ndarray) -> np.ndarray:
@@ -2225,18 +1968,8 @@ def minhash_index_probe(
     # reshape(-1) of (n, bands) is row-major: flat index i came from
     # doc row i // bands
     bk_sorted, row_of = bk_new[order], (order // bands)
-    probe_ref = ray.put(np.unique(bk_new))
-
-    def hits(t: pa.Table) -> pa.Table:
-        probe = ray.get(probe_ref)
-        bk = t["bk"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(probe, bk), probe.shape[0] - 1)
-        m = probe[pos] == bk
-        return pa.table({"bk": t["bk"].filter(pa.array(m)),
-                         "id": t["id"].filter(pa.array(m))})
-
-    hit_rows = rd.read_parquet(band_files).map_batches(
-        hits, batch_format="pyarrow"
+    hit_rows = broadcast_filter(
+        rd.read_parquet(band_files), bk_new, "bk"
     ).take_all()
     if not hit_rows:
         return np.empty(0, np.int64)
@@ -2264,16 +1997,8 @@ def minhash_index_probe(
         return np.empty(0, np.int64)
 
     # fetch ONLY the candidate old ids' signatures
-    need_ref = ray.put(np.unique(pairs[:, 1]))
-
-    def sig_hits(t: pa.Table) -> pa.Table:
-        need = ray.get(need_ref)
-        tid = t["id"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(need, tid), need.shape[0] - 1)
-        return t.filter(pa.array(need[pos] == tid))
-
-    old_rows = rd.read_parquet(shards("sig")).map_batches(
-        sig_hits, batch_format="pyarrow"
+    old_rows = broadcast_filter(
+        rd.read_parquet(shards("sig")), np.unique(pairs[:, 1]), "id"
     ).take_all()
     if not old_rows:
         return np.empty(0, np.int64)
@@ -2288,9 +2013,7 @@ def minhash_index_probe(
     # clamp + equality-mask: a band shard whose .sig sibling is missing
     # (partial index deletion/corruption) would otherwise index past the
     # end or score against the WRONG document's signature
-    opos = np.minimum(np.searchsorted(old_ids, pairs[:, 1]),
-                      old_ids.shape[0] - 1)
-    valid = old_ids[opos] == pairs[:, 1]
+    valid, opos = sorted_lookup(old_ids, pairs[:, 1])
     agree = np.full(pairs.shape[0], -1.0)
     agree[valid] = (
         sigs[pairs[:, 0][valid]] == old_sigs[opos[valid]]
@@ -2383,10 +2106,7 @@ def decontaminate(
                 continue
             allg = np.concatenate([g for g in grams if g.shape[0]])
             doc_idx = np.repeat(np.arange(len(grams)), lengths)
-            pos = np.searchsorted(bw, allg)
-            member = (pos < bw.shape[0]) & (
-                bw[np.minimum(pos, bw.shape[0] - 1)] == allg
-            )
+            member, _ = sorted_lookup(bw, allg)
             hits += np.bincount(doc_idx[member], minlength=len(grams))
         bad = hits > 0
         if not bad.any():
@@ -2427,14 +2147,15 @@ def winnow_overlap_pairs_ds(
     but shares nearly all of B's fingerprints). The distributed closure
     of the gate-scale `winnow_overlap_pairs` oracle query.
 
-    Shape = the `jaccard_all_pairs` three-exchange composition with
-    fingerprints instead of shingles: one scan -> distinct (fp, doc)
-    rows (vectorized per-doc packed-uint64 winnowing,
-    functions/text.winnow_fingerprints_fast) -> fp exchange with
-    vectorized upper-triangle pair expansion -> pair-key exchange with
-    run-length counts, thresholded at ``min_shared``.
+    Shape: one scan -> distinct (fp, doc) rows (vectorized per-doc
+    packed-uint64 winnowing, functions/text.winnow_fingerprints_fast)
+    -> the co-occurrence chain shared with `jaccard_all_pairs`
+    (``cooccurrence_pairs``: fp exchange with upper-triangle pair
+    expansion under the ``max_df`` cap -> pair-key exchange with
+    run-length counts, thresholded at ``min_shared``). Both passes of
+    the ``fp_sample`` path below run that chain.
 
-    ``max_df`` (REQUIRED here, unlike jaccard's optional cap) drops
+    ``max_df`` (REQUIRED here; exact Jaccard runs the chain uncapped) drops
     fingerprints shared by more than that many docs before pairing:
     template boilerplate makes nearly every doc pair share SOME
     fingerprint (measured: family median 111 shared vs random median 6
@@ -2477,18 +2198,14 @@ def winnow_overlap_pairs_ds(
     fp rows (~16 B × fps/doc × corpus) or the O(Σ df²) pair rows rival
     the object store."""
     from ..functions.text import winnow_fingerprints_fast
-    from .exchange import exchange_reduce
-
     from ..state.sketches import _splitmix64
 
     def make_fp_rows(sample: int):
         samp_cut = np.uint64(2**64 - 1) // np.uint64(max(1, sample))
 
         def fp_rows(t: pa.Table) -> pa.Table:
-            fps, docs = [], []
-            ids = t[id_col].cast(pa.int64()).to_numpy(
-                zero_copy_only=False
-            )
+            parts = []
+            ids = _ints(t, id_col)
             for i, txt in enumerate(t[text_col].to_pylist()):
                 _, h = winnow_fingerprints_fast(txt, k=k, w=w)
                 if h.shape[0] == 0:
@@ -2505,102 +2222,13 @@ def winnow_overlap_pairs_ds(
                     ]
                     if u.shape[0] == 0:
                         continue
-                fps.append(u.view(np.int64))
-                docs.append(
-                    np.full(u.shape[0], ids[i], dtype=np.int64)
-                )
-            if not fps:
-                return pa.table(
-                    {
-                        "fp": pa.array([], pa.int64()),
-                        "doc": pa.array([], pa.int64()),
-                    }
-                )
+                parts.append((u.view(np.int64), np.full(u.shape[0], ids[i])))
+            fp, doc = _concat(parts, 2)
             return pa.table(
-                {
-                    "fp": pa.array(np.concatenate(fps), pa.int64()),
-                    "doc": pa.array(np.concatenate(docs), pa.int64()),
-                }
+                {"fp": pa.array(fp, pa.int64()), "doc": pa.array(doc, pa.int64())}
             )
 
         return fp_rows
-
-    def make_emit_pairs(df_cap: int):
-        def emit_pairs(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "pk": pa.array([], pa.int64()),
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                }
-            )
-            if t.num_rows == 0 or "fp" not in t.column_names:
-                return empty
-            fp = t["fp"].to_numpy(zero_copy_only=False)
-            doc = t["doc"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((doc, fp))
-            fp, doc = fp[order], doc[order]
-            new = np.concatenate(([True], fp[1:] != fp[:-1]))
-            starts = np.flatnonzero(new)
-            sizes = np.diff(np.concatenate((starts, [fp.shape[0]])))
-            pos = np.arange(fp.shape[0]) - np.repeat(starts, sizes)
-            gsz = np.repeat(sizes, sizes)
-            cnt = gsz - 1 - pos
-            cnt[gsz > df_cap] = 0  # ubiquitous/template fingerprints
-            total = int(cnt.sum())
-            if total == 0:
-                return empty
-            left = np.repeat(np.arange(fp.shape[0]), cnt)
-            cum = np.cumsum(cnt)
-            offset = np.arange(total) - np.repeat(cum - cnt, cnt) + 1
-            right = left + offset
-            ia, ib = doc[left], doc[right]
-            pk = (
-                ia.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                ^ ib.astype(np.uint64)
-            ).view(np.int64)
-            return pa.table(
-                {
-                    "pk": pa.array(pk, pa.int64()),
-                    "id_a": pa.array(ia, pa.int64()),
-                    "id_b": pa.array(ib, pa.int64()),
-                }
-            )
-
-        return emit_pairs
-
-    def make_count_pairs(min_count: int):
-        def count_pairs(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "n_shared": pa.array([], pa.int64()),
-                }
-            )
-            if t.num_rows == 0 or "id_a" not in t.column_names:
-                return empty
-            a = t["id_a"].to_numpy(zero_copy_only=False)
-            b = t["id_b"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((b, a))
-            a, b = a[order], b[order]
-            new = np.concatenate(
-                ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1]))
-            )
-            starts = np.flatnonzero(new)
-            cnts = np.diff(np.concatenate((starts, [a.shape[0]])))
-            keep = cnts >= min_count
-            return pa.table(
-                {
-                    "id_a": pa.array(a[starts][keep], pa.int64()),
-                    "id_b": pa.array(b[starts][keep], pa.int64()),
-                    "n_shared": pa.array(
-                        cnts[keep].astype(np.int64), pa.int64()
-                    ),
-                }
-            )
-
-        return count_pairs
 
     def chain(src_ds, sample: int, min_count: int):
         slim = src_ds.map_batches(
@@ -2613,19 +2241,14 @@ def winnow_overlap_pairs_ds(
         # heavy head the cap exists to kill (measured: ENOSPC at 1M
         # docs with the unscaled cap)
         df_cap = max(2, max_df // sample)
-        pair_rows = exchange_reduce(
-            land(slim, spill, "winnow_slim"),
-            "fp",
-            make_emit_pairs(df_cap),
-            num_buckets,
+        pairs = cooccurrence_pairs(
+            land(slim, spill, "winnow_slim"), "fp", "n_shared",
+            min_count=min_count, df_cap=df_cap, num_buckets=num_buckets,
             spill=spill,
         )
         if spill is not None:
-            spill.free("winnow_slim")  # the exchange landing read it last
-        return exchange_reduce(
-            pair_rows, "pk", make_count_pairs(min_count), num_buckets,
-            spill=spill,
-        )
+            spill.free("winnow_slim")  # the fp exchange read it last
+        return pairs
 
     if fp_sample <= 1:
         return chain(ds, 1, min_shared)
@@ -2669,16 +2292,7 @@ def winnow_overlap_pairs_ds(
             f"docs exceed the broadcast budget ({budget}); raise "
             "min_shared / fp_sample or max_df to tighten candidacy"
         )
-    cref = ray.put(cand_ids)
-
-    def member_only(t: pa.Table) -> pa.Table:
-        cids = ray.get(cref)
-        ids = t[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(cids, ids), cids.shape[0] - 1)
-        return t.filter(pa.array(cids[pos] == ids))
-
-    subset = ds.map_batches(member_only, batch_format="pyarrow")
-    return chain(subset, 1, min_shared)
+    return chain(broadcast_filter(ds, cand_ids, id_col), 1, min_shared)
 
 
 def winnow_overlap_drop_ids(
@@ -2702,19 +2316,10 @@ def winnow_overlap_drop_ids(
     the dedup family that catches partial overlap / document
     containment, which the Jaccard-based MinHash chain structurally
     under-weights (|A∩B|/|A∪B| is small when |A| >> |B|)."""
-    pairs = winnow_overlap_pairs_ds(
-        ds, text_col, id_col, k=k, w=w,
-        min_shared=min_shared, max_df=max_df, num_buckets=num_buckets,
-        fp_sample=fp_sample, spill=spill,
-    ).map_batches(
-        lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
-    ).materialize()
-    if pairs.count() == 0:
-        return None
-    labels = connected_components_distributed(pairs)
-
-    def non_canonical(t: pa.Table) -> pa.Table:
-        keep = pc.not_equal(t["node"], t["label"])
-        return pa.table({"node": t.filter(keep)["node"].cast(pa.int64())})
-
-    return labels.map_batches(non_canonical, batch_format="pyarrow")
+    return _non_canonical_ids(
+        winnow_overlap_pairs_ds(
+            ds, text_col, id_col, k=k, w=w,
+            min_shared=min_shared, max_df=max_df, num_buckets=num_buckets,
+            fp_sample=fp_sample, spill=spill,
+        )
+    )

@@ -170,6 +170,43 @@ def broadcast_rows_budget(
     return int(min(ceiling, max(floor, fraction * store / bytes_per_row)))
 
 
+def sorted_lookup(keys: np.ndarray, values: np.ndarray):
+    """Probe ``values`` against the SORTED array ``keys``: (found mask,
+    clamped position), so ``keys[pos]`` is the match wherever found.
+    The one membership probe behind every broadcast filter and lookup
+    (an empty ``keys`` finds nothing)."""
+    if keys.shape[0] == 0:
+        return np.zeros(values.shape[0], bool), np.zeros(values.shape[0], np.int64)
+    pos = np.minimum(np.searchsorted(keys, values), keys.shape[0] - 1)
+    return keys[pos] == values, pos
+
+
+def broadcast_filter(ds, keys: np.ndarray, key, keep: bool = True):
+    """Rows of ``ds`` whose key is (``keep=True``) or is not
+    (``keep=False``) in ``keys``. ``key`` is a column name or a
+    ``table -> array`` callable. The keys are broadcast SORTED once and
+    probed per batch with :func:`sorted_lookup`.
+
+    Not ``pc.is_in``: is_in rebuilds its hash set from the value_set on
+    EVERY call, and map_batches cuts blocks into ~131k-row batches — a
+    16M-key set costs ~2.3 s to build, so a 1.4B-row filter pays
+    ~10,600 rebuilds (~25 CPU-min/worker; measured grinding 32 CPUs for
+    18+ min on the 50M-doc × 28-table SimHash corpus). The sorted probe
+    is O(batch · log keys) with zero per-batch setup, so plain tasks
+    (zero-copy local ray.get) stay the right choice over an actor pool.
+    Returns the lazy filtered Dataset."""
+    ref = ray.put(np.sort(keys))
+
+    def probe(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t
+        col = key(t) if callable(key) else t[key]
+        found, _ = sorted_lookup(ray.get(ref), col.to_numpy(zero_copy_only=False))
+        return t.filter(pa.array(found if keep else ~found))
+
+    return ds.map_batches(probe, batch_format="pyarrow")
+
+
 def _bucket_of(t: pa.Table, key_col: str, P: int) -> np.ndarray:
     """Bucket of every row: key % P, non-negative for signed keys."""
     k = t[key_col].to_numpy(zero_copy_only=False)
@@ -290,7 +327,7 @@ def exchange_reduce(
 
     from .blocks import arrow_block_refs_with_rows
 
-    refs, total_rows = arrow_block_refs_with_rows(ds)
+    refs, total_rows, _ = arrow_block_refs_with_rows(ds)
     P = num_buckets or _default_buckets()
     if num_buckets is None and total_rows is not None:
         P = max(1, min(P, -(-total_rows // 65536)))

@@ -565,14 +565,15 @@ def bucketed_equi_join(
     import ray
     import ray.data as rd
 
-    left_schema = _arrow_schema(left_ds)
-    right_schema = _arrow_schema(right_ds)
     if spill is not None:
         import os
 
         import pyarrow.parquet as pq
 
         from .exchange import _reduce_cpus
+
+        left_schema = _arrow_schema(left_ds)
+        right_schema = _arrow_schema(right_ds)
 
         if num_buckets is None:
             try:
@@ -620,8 +621,12 @@ def bucketed_equi_join(
         spill.free_after(outs, "join_l", "join_r")
         return rd.from_arrow_refs(outs)
 
-    left_refs, left_rows = arrow_block_refs_with_rows(left_ds)
-    right_refs, right_rows = arrow_block_refs_with_rows(right_ds)
+    # the schemas ride the RefBundles; ``ds.schema()`` would run each
+    # lazy side once more as a separate limit-1 plan
+    left_refs, left_rows, left_schema = arrow_block_refs_with_rows(left_ds)
+    right_refs, right_rows, right_schema = arrow_block_refs_with_rows(right_ds)
+    left_schema = left_schema or _arrow_schema(left_ds)
+    right_schema = right_schema or _arrow_schema(right_ds)
     if num_buckets is None:
         big = max(left_rows or 0, right_rows or 0)
         P = 64 if left_rows is None or right_rows is None else max(

@@ -82,20 +82,6 @@ def test_simhash_dedup(ray_session, doc_table):
     assert all(p["hamming"] <= 3 for _, p in pairs.iterrows())
 
 
-def test_ngram_jaccard(ray_session, doc_table):
-    import ray.data as rd
-
-    from sod_ray.stages.dedup import ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(
-        rd.from_arrow(doc_table), "text", "doc_id", n=3, threshold=0.5
-    ).to_pandas()
-    found = {tuple(sorted(p)) for p in zip(pairs["id_a"], pairs["id_b"])}
-    assert (0, 1) in found
-    ex = pairs[(pairs["id_a"] == 0) & (pairs["id_b"] == 1)].iloc[0]
-    assert ex["jaccard"] == 1.0
-
-
 def test_embedding_neardup(ray_session):
     import ray.data as rd
 
@@ -504,26 +490,122 @@ def test_jaccard_all_pairs_matches_brute(ray_session, doc_table):
 
     from sod_ray.stages.dedup import jaccard_all_pairs
 
-    docs = doc_table["text"].to_pylist()
-    # add edge cases: short doc (<3 tokens), empty doc, exact twin of 0
-    docs = docs + ["two tokens", "", docs[0]]
-    t = pa.table(
-        {
-            "doc_id": pa.array(range(len(docs)), pa.int64()),
-            "text": pa.array(docs, pa.string()),
+    base = doc_table["text"].to_pylist()
+    # the doc table as is, then with edge cases: short doc (<3 tokens),
+    # empty doc, exact twin of 0
+    for docs in (base, base + ["two tokens", "", base[0]]):
+        t = pa.table(
+            {
+                "doc_id": pa.array(range(len(docs)), pa.int64()),
+                "text": pa.array(docs, pa.string()),
+            }
+        )
+        expect = _brute_jaccard_pairs(docs, n=3, threshold=0.5)
+        out = jaccard_all_pairs(
+            rd.from_arrow(t), "text", "doc_id", n=3, threshold=0.5
+        ).to_pandas()
+        got = {
+            (int(a), int(b)): j
+            for a, b, j in zip(out["id_a"], out["id_b"], out["jaccard"])
         }
+        assert set(got) == set(expect)
+        for k in expect:
+            assert got[k] == pytest.approx(expect[k], abs=0)
+        assert got[(0, 1)] == 1.0  # the planted exact dup
+
+
+def _brute_bucket_pairs(key, ids, star=False, cap=None, df_cap=None):
+    """Per key in ascending order: the sorted distinct ids' pairs as
+    ``itertools.combinations`` lists them (star: min id with the rest;
+    more than ``cap`` ids: consecutive chain; more than ``df_cap``:
+    none)."""
+    from itertools import combinations
+
+    out = []
+    for k in sorted(set(key.tolist())):
+        g = sorted(set(ids[key == k].tolist()))
+        if df_cap is not None and len(g) > df_cap:
+            continue
+        if cap is not None and len(g) > cap:
+            out += list(zip(g[:-1], g[1:]))
+        elif star:
+            out += [(g[0], x) for x in g[1:]]
+        else:
+            out += list(combinations(g, 2))
+    return out
+
+
+@pytest.mark.parametrize("pair_slice", [8_000_000, 3])
+def test_bucket_pairs_kernel_matches_brute(monkeypatch, pair_slice):
+    """The shared bucket-pairs kernel against brute force, pair for pair
+    and in emission order: random group layouts (empty input,
+    singletons, repeated (key, id) rows, negative keys and ids) under
+    every count rule its callers use — triangle, star, oversize chain
+    and the df cap — with the slice constant at its default and small
+    enough that buckets cross slice boundaries."""
+    from sod_ray.stages import dedup as dd
+
+    monkeypatch.setattr(dd, "_PAIR_SLICE", pair_slice)
+    rng = np.random.default_rng(5)
+    layouts = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    layouts.append((np.arange(9), np.arange(9)))  # all singletons
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        layouts.append(
+            (rng.integers(-4, 8, n), rng.integers(-20, 30, n))
+        )
+    rules = [
+        ({}, None),
+        ({"star": True, "cap": 10**9}, dd._emission_rule(True, 10**9)),
+        ({"cap": 4}, dd._emission_rule(False, 4)),
+        ({"star": True, "cap": 4}, dd._emission_rule(True, 4)),
+        ({"df_cap": 5}, dd._df_cap_rule(5)),
+    ]
+    split = 0
+    for key, ids in layouts:
+        for kw, rule in rules:
+            ia, ib = dd._bucket_id_pairs(key, ids, rule)
+            got = list(zip(ia.tolist(), ib.tolist()))
+            assert got == _brute_bucket_pairs(key, ids, **kw), kw
+            slices = list(dd._bucket_pairs(key, ids, rule)[1])
+            split += len(slices) > 1
+            for left, _ in slices:
+                # whole rows per slice: at most one row past the cap
+                assert left.shape[0] < pair_slice + len(ids)
+    assert split > 0 if pair_slice == 3 else split == 0
+
+
+def test_pair_runs_kernel_counts_and_carry():
+    """Distinct (id_a, id_b) pairs in order, first row's carried column,
+    run counts thresholded by min_count; schema-less input → typed
+    empty output."""
+    from collections import Counter
+
+    from sod_ray.stages import dedup as dd
+
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 6, 200)
+    b = rng.integers(0, 6, 200)
+    h = a * 10 + b  # a pure function of the pair, like hamming
+    t = pa.table({"pk": a ^ b, "id_a": a, "id_b": b, "hamming": h})
+    runs = Counter(zip(a.tolist(), b.tolist()))
+    out = dd._pair_runs(t, carry=("hamming",))
+    assert out.column_names == ["id_a", "id_b", "hamming"]
+    pairs = list(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
+    assert pairs == sorted(runs)
+    assert out["hamming"].to_pylist() == [x * 10 + y for x, y in pairs]
+    counted = dd._pair_runs(t, count_col="n", min_count=6)
+    assert dict(
+        zip(
+            zip(counted["id_a"].to_pylist(), counted["id_b"].to_pylist()),
+            counted["n"].to_pylist(),
+        )
+    ) == {p: n for p, n in runs.items() if n >= 6}
+    empty = dd._pair_runs(pa.table({}), count_col="n")
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema(
+        [("id_a", pa.int64()), ("id_b", pa.int64()), ("n", pa.int64())]
     )
-    expect = _brute_jaccard_pairs(docs, n=3, threshold=0.5)
-    out = jaccard_all_pairs(
-        rd.from_arrow(t), "text", "doc_id", n=3, threshold=0.5
-    ).to_pandas()
-    got = {
-        (int(a), int(b)): j
-        for a, b, j in zip(out["id_a"], out["id_b"], out["jaccard"])
-    }
-    assert set(got) == set(expect)
-    for k in expect:
-        assert got[k] == pytest.approx(expect[k], abs=0)
 
 
 def test_jaccard_all_pairs_bucketed_fallback_parity(ray_session, doc_table):

@@ -324,6 +324,39 @@ def test_bucketed_equi_join_left_outer(ray_session):
     assert got["k"].tolist() == [1, 2, 3, 4]
     assert got["rv"].fillna(-1).tolist() == [-1, 20, -1, 40]
 
+def test_bucketed_equi_join_takes_schema_from_bundles(
+    ray_session, monkeypatch
+):
+    """The in-plasma join reads each side's schema from the RefBundles
+    it executes anyway: with ``Dataset.schema`` patched to raise (it
+    runs a lazy side once more as a limit-1 plan), lazy sides still
+    join to the Acero result."""
+    import ray.data as rd
+
+    from sod_ray.stages.joins import bucketed_equi_join
+
+    left = pa.table({"k": np.arange(300) % 17, "v": np.arange(300)})
+    right = pa.table({"k": np.arange(0, 17, 2), "w": np.arange(9) * 10})
+
+    def lazy(t):
+        return rd.from_arrow(t).map_batches(
+            lambda b: b, batch_format="pyarrow"
+        )
+
+    def no_schema(*a, **kw):
+        raise AssertionError("Dataset.schema called")
+
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "schema", no_schema)
+        got = bucketed_equi_join(lazy(left), lazy(right), "k", num_buckets=4)
+    want = left.join(right, keys="k", join_type="inner").to_pandas()
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(
+        got.to_pandas().sort_values("v").reset_index(drop=True),
+        want.sort_values("v").reset_index(drop=True)[["k", "v", "w"]],
+    )
+
+
 def test_bucketed_equi_join_spill_parity(ray_session, tmp_path):
     """bucketed_equi_join with a spill (both sides landed as
     bucket-partitioned parquet, one join task per bucket) must match

@@ -561,6 +561,86 @@ def test_q3_join_matches_oracle_without_native_join(
     )
 
 
+def test_winnow_overlap_pairs_matches_oracle_without_driver_merge(
+    ray_session, sf_smoke, monkeypatch
+):
+    """winnow_overlap_pairs counts shared fingerprints on the
+    distributed co-occurrence chain: with ``pandas.DataFrame.merge``
+    patched to raise on the driver, it still equals its DuckDB oracle
+    value for value, dtype for dtype and in (id_a, id_b) order."""
+    import duckdb
+    import pandas as pd
+
+    from sod_ray.pipelines.queries import (
+        WINNOW_PAIRS_SQL,
+        winnow_overlap_pairs,
+    )
+
+    def no_merge(*a, **kw):
+        raise AssertionError("driver-side DataFrame.merge called")
+
+    monkeypatch.setattr(pd.DataFrame, "merge", no_merge)
+    out = winnow_overlap_pairs(sf_smoke).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{sf_smoke}/documents.parquet')"
+    )
+    ref = (
+        con.sql(WINNOW_PAIRS_SQL).df()
+        .sort_values(["id_a", "id_b"])
+        .reset_index(drop=True)
+    )
+    assert len(ref) > 0
+    pd.testing.assert_frame_equal(out, ref, check_dtype=True)
+
+
+_TWO_CPU_SCRIPT = r"""
+import sys
+
+import ray
+import ray.data as rd
+
+from sod_ray.pipelines.queries import doc_quality_checked, lang_id_checked
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=200 << 20)
+rd.DataContext.get_current().enable_progress_bars = False
+q = doc_quality_checked(sys.argv[1]).count()
+lang = lang_id_checked(sys.argv[1]).count()
+print("RESULT", q, lang)
+"""
+
+
+def test_text_actor_pools_run_on_two_cpus(sf_smoke):
+    """The TextFeatures / LangId actor pools of the text-quality
+    queries must finish in a 2-CPU session: a fixed two-actor pool took
+    both CPUs, its read tasks never ran and the query hung."""
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_SCRIPT, sf_smoke], env=env,
+        text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child and its Ray daemons
+        proc.communicate()
+        pytest.fail("text actor-pool queries hung on a 2-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    n = len(pq.read_table(f"{sf_smoke}/documents.parquet", columns=["doc_id"]))
+    assert f"RESULT {n} {n}" in out
+
+
 def test_full_run_kll_backend(ray_session, web_dir, tmp_path):
     """The flagship with quantile_sketch='kll' produces the SAME
     verdict table as the t-digest default (verdicts depend on counts
