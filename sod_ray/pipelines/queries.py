@@ -347,11 +347,8 @@ def dup_cluster_ids(sf_dir: str):
     operator (stages/cc.py): same-md5 groups emit star pairs, CC
     labels them, singletons keep their own id. Oracle-checked end to
     end (the SQL twin is a window-min over the text partition)."""
-    from ..stages.dedup import (
-        connected_components_distributed,
-        group_min_count,
-        md5_slim,
-    )
+    from ..stages.cc import connected_components_bucketed
+    from ..stages.dedup import group_min_count, md5_slim
     from ..stages.exchange import sorted_lookup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -432,7 +429,7 @@ def dup_cluster_ids(sf_dir: str):
         )
 
     pairs = hashed.map_batches(emit_pairs, batch_format="pyarrow")
-    labels = connected_components_distributed(pairs)
+    labels = connected_components_bucketed(pairs)
 
     # left-join docs to CC labels (docs without dup pairs keep their id):
     # broadcast the label mapping — it is dup-count-sized, tiny by
@@ -2140,9 +2137,6 @@ def winnow_overlap_pairs(sf_dir: str):
     join; the 10^12-doc overlap path is the MinHash/SimHash family
     (banded, capped buckets) — this exact-count join is its
     verification-tier analog."""
-    import ray
-
-    from ..stages.blocks import arrow_block_refs
     from ..stages.dedup import cooccurrence_pairs
 
     def fp_ints(t: pa.Table) -> pa.Table:
@@ -2156,10 +2150,7 @@ def winnow_overlap_pairs(sf_dir: str):
         )
 
     rows = _winnow_fp_rows(sf_dir).map_batches(fp_ints, batch_format="pyarrow")
-    pairs = cooccurrence_pairs(rows, "fp", "n_shared", min_count=40)
-    return pa.concat_tables(ray.get(arrow_block_refs(pairs))).sort_by(
-        [("id_a", "ascending"), ("id_b", "ascending")]
-    )
+    return _pair_table(cooccurrence_pairs(rows, "fp", "n_shared", min_count=40))
 
 
 WINNOW_PAIRS_SQL = (
@@ -2390,12 +2381,27 @@ FROM cum GROUP BY event_type
 """
 
 
+def _pair_table(pairs) -> pa.Table:
+    """A pair Dataset gathered as one Arrow table sorted by (id_a,
+    id_b), typed even when empty: Ray's ``Dataset.to_pandas`` drops
+    every 0-row block and with it the schema. Blocks a map passed
+    through empty carry no columns and are skipped."""
+    import ray
+
+    from ..stages.blocks import arrow_block_refs
+
+    parts = [t for t in ray.get(arrow_block_refs(pairs)) if t.num_columns]
+    return pa.concat_tables(parts).sort_by(
+        [("id_a", "ascending"), ("id_b", "ascending")]
+    )
+
+
 def minhash_pairs_documents(sf_dir: str):
     """MinHash-LSH near-dup pairs over documents (rows-only)."""
     from ..stages.dedup import minhash_lsh_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return minhash_lsh_dedup(ds, "text", "doc_id", jaccard_threshold=0.8)
+    return _pair_table(minhash_lsh_dedup(ds, "text", "doc_id", jaccard_threshold=0.8))
 
 
 def jaccard_exact_pairs(sf_dir: str):
@@ -2442,7 +2448,7 @@ def simhash_pairs_documents(sf_dir: str):
     from ..stages.dedup import simhash_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_dedup(ds, "text", "doc_id")
+    return _pair_table(simhash_dedup(ds, "text", "doc_id"))
 
 
 def simhash128_pairs_documents(sf_dir: str):
@@ -2454,7 +2460,9 @@ def simhash128_pairs_documents(sf_dir: str):
     from ..stages.dedup import simhash_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_dedup(ds, "text", "doc_id", max_hamming=6, sig_bits=128)
+    return _pair_table(
+        simhash_dedup(ds, "text", "doc_id", max_hamming=6, sig_bits=128)
+    )
 
 
 def embedding_neardup_pairs(sf_dir: str):
@@ -2465,7 +2473,7 @@ def embedding_neardup_pairs(sf_dir: str):
     from ..stages.dedup import embedding_neardup
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return embedding_neardup(ds, "embedding", "vec_id", threshold=0.99)
+    return _pair_table(embedding_neardup(ds, "embedding", "vec_id", threshold=0.99))
 
 
 def cosine_exact_pairs(sf_dir: str):

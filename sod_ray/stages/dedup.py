@@ -6,17 +6,19 @@ training-data-pipeline surface the brief requires as first-class.
 The near-dup paths follow one scale shape:
 
 1. per-batch vectorized signature computation (``map_batches``, numpy),
-2. explode to (bucket, doc_id) candidate rows — the ONLY thing shuffled,
+2. explode to slim (bk, id) band rows (``_band_rows``, one format for
+   every LSH family) — the ONLY thing shuffled — with singleton
+   buckets pruned,
 3. a raw-task hash exchange on the bucket key, whose reduce runs the
    shared bucket-pairs kernel (``_bucket_pairs``) with the family's
    count rule and score,
 4. a pair-key exchange whose reduce (``_pair_runs``) dedupes or counts
    the pairs → duplicate pairs / drop set.
 
-Connected components over the verified pairs use iterative min-label
-propagation when asked to produce cluster ids; default output is the
-pair list + a keep policy of "lowest id wins" which needs no global
-state.
+MinHash and embedding near-dup share one chain (``_lsh_chain``) and
+differ only in their payload encoder, band keys and scorer. Cluster
+ids come from ``stages.cc.connected_components_bucketed`` over the
+verified pairs; the default drop policy is "lowest id wins".
 """
 
 from __future__ import annotations
@@ -24,23 +26,27 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+import ray.data
 
 from ..state.sketches import hash64
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs, arrow_block_refs_with_rows
+from .cc import connected_components_bucketed
 from .exchange import (
     Spill,
     broadcast_filter,
     broadcast_rows_budget,
+    exchange_reduce,
     land,
     sorted_lookup,
 )
+from .joins import bucketed_equi_join
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _BK_MIX = np.uint64(0x9E3779B97F4A7C15)
+_KEY56 = np.uint64((1 << 56) - 1)
 _NO_IDS = np.empty(0, np.int64)
 
 #: Pairs one bucket expands at a time: a giant bucket emits its pairs in
@@ -197,8 +203,6 @@ def cooccurrence_pairs(
     exchange on the pair key → (id_a, id_b, ``count_col``) pairs sharing
     >= ``min_count`` distinct features. Repeated (feature, doc) rows
     count once. ``spill`` runs both exchanges disk-backed."""
-    from .exchange import exchange_reduce
-
     rule = None if df_cap is None else _df_cap_rule(df_cap)
 
     def emit(t: pa.Table) -> pa.Table:
@@ -231,9 +235,6 @@ def group_min_count(
     Ray's sort-based ``groupby(str_key)`` measured 78 s on 10M md5
     keys vs ~2 s for the exchange (tools/exact_dedup_bench.py).
     Serves exact dedup, dup-group stats and cluster roots."""
-    from ..state.sketches import hash64
-    from .exchange import exchange_reduce
-
     asc = keep == "min"
 
     def add_kh(t: pa.Table) -> pa.Table:
@@ -343,8 +344,6 @@ def exact_dedup(
 
     # winner set too large to broadcast: bucketed hash join on the id
     # column (winner ids are unique, so the inner join is a semi-join)
-    from .joins import bucketed_equi_join
-
     win_ds = winners.map_batches(
         lambda t: pa.table({id_col: t["win_id"].cast(pa.int64())}),
         batch_format="pyarrow",
@@ -365,8 +364,6 @@ def _token_ids(texts: list[str | None]) -> list[np.ndarray]:
     whole batch's flat token array → slice back per doc via offsets.
     Boundary whitespace yields empty tokens in Arrow (unlike
     ``str.split()``) — filtered to keep tokenization identical."""
-    import pyarrow.compute as pc
-
     arr = pa.array(texts, pa.string())
     toks = pc.utf8_split_whitespace(arr)
     lengths = pc.fill_null(pc.list_value_length(toks), 0).to_numpy(
@@ -460,19 +457,19 @@ def minhash_lsh_dedup(
     seed: int = 1337,
     max_bucket_size: int = 256,
     small_corpus_rows: int = 100_000,
-    as_dataset: bool = False,
     pair_emission: str = "pairs",
     spill: Spill | None = None,
 ):
-    """MinHash+LSH near-dup pairs, fully distributed:
+    """MinHash+LSH near-dup pairs, fully distributed, on the LSH chain
+    (``_lsh_chain``):
 
     1. ONE text scan: per-batch signatures → (id, sig) rows, landed
        once (object store; at 100 TB an intermediate parquet dir —
        512 B/doc, ~0.05% of corpus bytes);
     2. band hashes derived FROM the sig rows (cheap fold, no re-scan)
-       → (band, band_hash, id) rows ONLY cross the banding shuffle —
-       16 × 16 bytes per doc, never the signature, never the text;
-    3. groupby band buckets → candidate id pairs (buckets larger than
+       → slim (bk, id) band rows ONLY cross the banding shuffle — never
+       the signature, never the text;
+    3. per band bucket → candidate id pairs (buckets larger than
        ``max_bucket_size`` — giant dup clusters — emit a consecutive-id
        CHAIN instead of the quadratic pair set; connected components
        still merge the cluster);
@@ -480,8 +477,7 @@ def minhash_lsh_dedup(
        driver (web corpora are ~30% near-dup — the candidate list is
        not small): two ``bucketed_equi_join`` passes attach each
        endpoint's signature to its pairs, then one vectorized map
-       computes the signature-agreement Jaccard estimate. Only
-       verified pairs reach the driver.
+       computes the signature-agreement Jaccard estimate.
 
     Every corpus size runs this one chain. ``small_corpus_rows`` is
     kept for API compatibility and ignored.
@@ -506,92 +502,120 @@ def minhash_lsh_dedup(
     both verify joins run disk-backed. Each landing is freed after its
     last reader; results are identical (parity-tested).
 
-    Returns a pyarrow Table (id_a, id_b, jaccard_est), id_a < id_b —
-    or, with ``as_dataset=True``, the verified pairs as a Dataset
-    (unsorted, possibly with band-duplicate pairs already removed):
-    the form downstream distributed consumers (connected components,
-    corpus dedup) want, since a web corpus' pair list need not fit on
-    the driver."""
+    Returns the verified pairs as a Dataset of (id_a int64, id_b int64,
+    jaccard_est float64), id_a < id_b, one row per pair in no set
+    order: the form downstream distributed consumers (connected
+    components, corpus dedup) want, since a web corpus' pair list need
+    not fit on the driver."""
+    return _lsh_chain(
+        ds, "sigs", _sig_rows(text_col, id_col, n_perm, shingle_k, seed),
+        np.uint64, lambda sig: _band_hashes(sig, bands), _sig_agreement,
+        "jaccard_est", jaccard_threshold, max_bucket_size, pair_emission,
+        spill,
+    )
+
+
+def _sig_rows(text_col: str, id_col: str, n_perm: int, shingle_k: int, seed: int):
+    """The MinHash payload encoder: batch → (id, pl) rows, ``pl`` each
+    doc's signature as n_perm uint64s."""
+
+    def encode(batch: pa.Table) -> pa.Table:
+        texts = batch[text_col].to_pylist()
+        sig = minhash_signatures(texts, n_perm, shingle_k, seed)
+        return _payload_rows(batch[id_col], sig)
+
+    return encode
+
+
+def _sig_agreement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MinHash scorer: fraction of agreeing signature rows per pair."""
+    return (a == b).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The LSH chain: payload rows → band rows → prune → candidates → verify
+# ---------------------------------------------------------------------------
+
+
+def _payload_rows(ids, m: np.ndarray) -> pa.Table:
+    """(id, pl) payload rows: each row of ``m`` as fixed-width binary
+    (the verify joins carry it untouched)."""
+    return pa.table(
+        {
+            "id": ids.cast(pa.int64()),
+            "pl": pa.array([row.tobytes() for row in m], pa.binary()),
+        }
+    )
+
+
+def _unpack(col, dtype) -> np.ndarray:
+    """(n, width) ``dtype`` matrix of a fixed-width ``pl`` column."""
+    if len(col) == 0:
+        return np.empty((0, 0), dtype)
+    return np.frombuffer(b"".join(col.to_pylist()), dtype).reshape(len(col), -1)
+
+
+def _band_rows(keys: np.ndarray, ids: np.ndarray, **payload) -> pa.Table:
+    """The one band-row format of the LSH families: (bk, id, *payload),
+    one row per (table, doc), table-major. ``keys`` is the (n, tables)
+    uint64 bucket key of every doc in every table and bk = table<<56 |
+    key[:56]. Truncation can only FALSELY KEEP a singleton (a
+    same-table 56-bit collision), which the verify step discards —
+    never drops a real dup bucket."""
+    tables = keys.shape[1]
+    shift = np.arange(tables, dtype=np.uint64)[:, None] << np.uint64(56)
+    bk = (shift | (keys.T & _KEY56)).reshape(-1)
+    cols = {"id": np.asarray(ids, np.int64), **payload}
+    return pa.table(
+        {"bk": pa.array(bk.view(np.int64))}
+        | {c: pa.array(np.tile(v, tables)) for c, v in cols.items()}
+    )
+
+
+def _lsh_chain(
+    ds, landing: str, encode, dtype, band_keys, score, out_col: str,
+    threshold: float, max_bucket_size: int, pair_emission: str,
+    spill: Spill | None,
+):
+    """The LSH near-dup chain of the MinHash and embedding families.
+    Each family supplies only ``encode`` (batch → (id, pl) payload rows,
+    ``pl`` a fixed-width row of ``dtype``), ``band_keys`` ((n, width)
+    payload → (n, tables) uint64 bucket keys) and ``score`` (two payload
+    matrices → per-pair score). The payload rows land once as
+    ``landing`` (banding and the verify joins both read them) → (bk, id)
+    band rows → singleton prune → candidate exchange → verify joins →
+    the landing is freed. Returns the (id_a, id_b, ``out_col``) pair
+    Dataset, typed even when empty."""
     if pair_emission not in ("pairs", "star"):
         # a typo ('Star', 'stars') would otherwise silently fall
         # through to the exhaustive all-pairs path
         raise ValueError(
             f"pair_emission must be 'pairs' or 'star', got {pair_emission!r}"
         )
+    # one scan, landed once (measured: the 100M-doc MinHash chain dies
+    # of store-spill ENOSPC unless its signatures land on disk)
+    rows = land(ds.map_batches(encode, batch_format="pyarrow"), spill, landing)
 
-    def to_sig_rows(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sig = minhash_signatures(texts, n_perm, shingle_k, seed)
-        # binary-encoded (n_perm × 8 B) — acero joins carry binary
-        # payloads but not list columns
-        return pa.table(
-            {
-                id_col: pa.array(ids),
-                "sig": pa.array([row.tobytes() for row in sig], pa.binary()),
-            }
-        )
-
-    # one text scan; landed once so banding and the verify join both
-    # consume it without recomputing signatures (measured: the 100M-doc
-    # chain dies of store-spill ENOSPC unless it lands on disk)
-    sig_rows = land(
-        ds.map_batches(to_sig_rows, batch_format="pyarrow"), spill, "sigs"
-    )
-
-    def sig_to_bands(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sig = (
-            np.frombuffer(
-                b"".join(batch["sig"].to_pylist()), dtype=np.uint64
-            ).reshape(-1, n_perm)
-            if len(batch)
-            else np.empty((0, n_perm), dtype=np.uint64)
-        )
-        bh = _band_hashes(sig, bands)
-        n = len(ids)
-        return pa.table(
-            {
-                "band": pa.array(np.repeat(np.arange(bands), n).astype(np.int32)),
-                "band_hash": pa.array(bh.T.reshape(-1).view(np.int64)),
-                id_col: pa.array(np.tile(ids, bands)),
-            }
-        )
+    def to_bands(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0 or "pl" not in t.column_names:
+            return _band_rows(np.empty((0, 1), np.uint64), _NO_IDS)
+        return _band_rows(band_keys(_unpack(t["pl"], dtype)), _ints(t, "id"))
 
     band_rows = _prune_singleton_buckets(
-        sig_rows.map_batches(sig_to_bands, batch_format="pyarrow"),
-        spill=spill,
+        rows.map_batches(to_bands, batch_format="pyarrow"), spill
     )
-
-    pairs = _candidate_pairs(
-        band_rows, id_col, max_bucket_size, pair_emission, spill
-    )
+    pairs = _candidate_pairs(band_rows, max_bucket_size, pair_emission, spill)
     verified = _verify_pairs_distributed(
-        pairs, sig_rows, id_col, jaccard_threshold, spill=spill
+        pairs, rows, dtype, score, out_col, threshold, spill
     )
     if spill is not None:
-        spill.free("sigs")  # the verify joins were its last readers
-    if as_dataset:
-        return verified
-    pdf = verified.to_pandas()
-    if len(pdf) == 0:
-        return pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "jaccard_est": pa.array([], pa.float64()),
-            }
-        )
-    return pa.Table.from_pandas(
-        pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True),
-        preserve_index=False,
-    )
+        spill.free(landing)  # the verify joins were its last readers
+    return verified
 
 
-def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
-                     spill=None):
-    """Candidate id pairs from pruned (band, band_hash, id) rows —
-    candidate emission + pair dedup as two raw-task hash exchanges
+def _candidate_pairs(band_rows, max_bucket_size, pair_emission, spill=None):
+    """Candidate id pairs from pruned (bk, id) rows — candidate
+    emission + pair dedup as two raw-task hash exchanges
     (stages/exchange). The former sort-based
     groupby(band,band_hash).map_groups + groupby(pair).aggregate pair
     was one Python call per dup bucket on top of two all-to-all
@@ -599,30 +623,21 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
     shared ``_bucket_pairs`` kernel, whose count rule here covers the
     three emission shapes (triangle = full per-row counts, star =
     counts only on run heads, oversize chain = count 1/row); the pair
-    dedup is ``_pair_runs``. Shared by the MinHash and embedding LSH
-    chains. Returns the (small) distinct pair Dataset, materialized
-    before the verify joins.
+    dedup is ``_pair_runs``. Returns the (small) distinct pair Dataset,
+    materialized before the verify joins.
 
     ``spill``: the candidate-emission exchange runs disk-backed (the
     10⁹-doc tier, where the pruned band rows exceed the object store)
     and frees the pruned landing it consumed. The pair-dedup exchange
     stays in-plasma: its input is candidate-pair-sized, orders of
     magnitude slimmer."""
-    from .exchange import exchange_reduce
-
-    def add_bk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "band" not in t.column_names:
-            return t
-        return t.append_column("bk", _bucket_key64(t))
-
-    keyed = band_rows.map_batches(add_bk, batch_format="pyarrow")
     rule = _emission_rule(pair_emission == "star", max_bucket_size)
 
     def emit_candidates(t: pa.Table) -> pa.Table:
-        return _pair_rows(*_bucket_id_pairs(_ints(t, "bk"), _ints(t, id_col), rule))
+        return _pair_rows(*_bucket_id_pairs(_ints(t, "bk"), _ints(t, "id"), rule))
 
-    cand = exchange_reduce(keyed, "bk", emit_candidates, spill=spill)
-    del keyed
+    cand = exchange_reduce(band_rows, "bk", emit_candidates, spill=spill)
+    del band_rows
     if spill is not None:
         spill.free("pruned")  # the exchange landing was its last read
 
@@ -630,218 +645,103 @@ def _candidate_pairs(band_rows, id_col, max_bucket_size, pair_emission,
     return exchange_reduce(cand, "pk", _pair_runs).materialize()
 
 
-def _bucket_key64(t: pa.Table):
-    """Composite 8-byte bucket key: band<<56 | band_hash[:56].
-    Truncation can only FALSELY KEEP a singleton (same-band 56-bit
-    collision), which the verify step discards — never drops a real
-    dup bucket."""
-    import pyarrow.compute as pc
-
-    k = pc.bit_wise_or(
-        pc.shift_left(t["band"].cast(pa.int64()), pa.scalar(56, pa.int64())),
-        pc.bit_wise_and(
-            t["band_hash"].cast(pa.int64()),
-            pa.scalar((1 << 56) - 1, pa.int64()),
-        ),
-    )
-    return k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k
+def _repeated_keys(t: pa.Table) -> pa.Table:
+    """Hot-key reduce of the prune: the distinct ``bk`` values of one
+    bucket held by at least two rows."""
+    k = np.sort(_ints(t, "bk"))
+    return pa.table({"bk": pa.array(np.unique(k[1:][k[1:] == k[:-1]]), pa.int64())})
 
 
-@ray.remote
-def _bucket_keys_split(t: pa.Table, P: int, key_col: str | None = None):
-    """Band-row block → P pieces of its composite keys (key % P)."""
-    keys = t[key_col] if key_col else _bucket_key64(t)
-    k = keys.to_numpy(zero_copy_only=False)
-    b = k % P  # keys are non-negative by construction
-    return tuple(k[b == p] for p in range(P))
-
-
-@ray.remote
-def _bucket_hot_keys(*pieces) -> np.ndarray:
-    """Keys appearing ≥2 times in this bucket (sort + run compare)."""
-    if not pieces:
-        return np.empty(0, np.int64)
-    k = np.concatenate(pieces)
-    if k.shape[0] == 0:
-        return k
-    k.sort(kind="stable")
-    dup = k[np.concatenate(([False], k[1:] == k[:-1]))]
-    if dup.shape[0] == 0:
-        return dup
-    return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
-
-
-def _prune_singleton_buckets(
-    band_rows,
-    key_col: str | None = None,
-    spill: Spill | None = None,
-):
-    """Drop band buckets holding a single doc BEFORE the per-bucket
-    group pass: nearly every bucket is a singleton (no candidate pair
-    can come out of it), and `groupby().map_groups` pays a Python call
-    per group — pruning turns ~N·bands tiny groups into only the dup
-    buckets. Hot keys come from per-batch value_counts (small inputs)
-    or a raw-task key exchange (large), then one broadcast filter (or,
-    past the broadcast budget, a ``bucketed_equi_join`` against the
-    hot keys) — all distributed. ``key_col``: use a precomputed int64
-    bucket-key column instead of deriving band<<56|band_hash. ``spill``: land
-    the band rows (tens of GB at 10⁸ docs × 12-28 tables, larger than
-    a node's store; both passes below stream them from disk) and the
-    filtered rows (store-sized for a dup-heavy corpus × 10⁹ docs) as
-    parquet. The band landing is freed once the filtered copy has
-    committed; the caller frees ``"pruned"`` after its last read."""
-    import pyarrow.compute as pc
-
-    # land the band rows once: the count pass, the filter pass and the
-    # downstream groupby would otherwise each re-execute the signature
-    # scan through lineage
+def _prune_singleton_buckets(band_rows, spill: Spill | None = None):
+    """Drop band buckets holding a single doc before the candidate
+    exchange: nearly every bucket is a singleton (no candidate pair can
+    come out of it), so only the dup buckets' rows — a few % of the
+    band rows on web corpora — cross the wide candidate exchange, its
+    bucket-pairs reduce and, under ``spill``, its landing. Hot keys
+    (``bk`` values held by ≥2 rows) come from one ``exchange_reduce``
+    over the projected 8-byte ``bk`` column, then one broadcast filter
+    (or, past the broadcast budget, a ``bucketed_equi_join`` against
+    the hot keys) — all distributed. ``spill``: land the band rows
+    (tens of GB at 10⁸ docs × 12-28 tables, larger than a node's store;
+    both passes below stream them from disk) and the filtered rows
+    (store-sized for a dup-heavy corpus × 10⁹ docs) as parquet. The
+    band landing is freed once the filtered copy has committed; the
+    caller frees ``"pruned"`` after its last read."""
+    # land the band rows once: the key pass and the filter pass would
+    # otherwise each re-execute the signature scan through lineage
     band_rows = land(band_rows, spill, "bands")
-
-    def finish(pruned):
-        pruned = land(pruned, spill, "pruned")
-        if spill is not None:
-            spill.free("bands")  # the pruned landing was its last read
-        return pruned
-
-    n_rows = band_rows.count()
-    if key_col is not None:
-        def key64_of(t, _c=key_col):
-            col = t[_c]
-            return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    else:
-        key64_of = _bucket_key64
-
-    if n_rows <= broadcast_rows_budget():
-        # partial-counts shortcut: per-batch value_counts of the
-        # composite key merge on the driver (≤5M 16-B rows) — skips
-        # the sort-based count shuffle entirely
-        def batch_counts(t: pa.Table) -> pa.Table:
-            vc = pc.value_counts(key64_of(t))
-            return pa.table(
-                {"key": vc.field("values"), "c": vc.field("counts")}
-            )
-
-        pdf = (
-            band_rows.map_batches(batch_counts, batch_format="pyarrow")
-            .to_pandas()
-            .groupby("key", as_index=False)["c"]
-            .sum()
-        )
-        hot_np = pdf.loc[pdf["c"] >= 2, "key"].to_numpy()
-        return finish(broadcast_filter(band_rows, hot_np, key64_of))
-
-    # >5M band rows: sharded hot-key detection via a raw-task hash-
-    # bucket exchange of ONLY the 8-byte composite keys (the
-    # sort-based count groupby measured 80+ s on 16M rows; this moves
-    # the same bytes in one O(n) pass — same pattern as stages/cc.py)
-    P = 32
-    # pin ONLY the 8-byte composite keys for the count exchange:
-    # arrow_block_refs executes the plan and holds every block ref, so
-    # pinning the full band rows would re-materialize the just-landed
-    # table into the store (45 GB at 50M docs × 28 tables vs a 37.6 GB
-    # store — measured: raylet spilled it straight back to disk until
-    # ENOSPC). The key projection is 4× slimmer and is all this pass
-    # needs; the filter pass below re-streams the full rows.
-    def project_keys(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"__key64": pa.array([], pa.int64())})
-        return pa.table({"__key64": key64_of(t)})
-
-    slim_keys = band_rows.map_batches(project_keys, batch_format="pyarrow")
-    refs = arrow_block_refs(slim_keys)
-    splits = [
-        _bucket_keys_split.options(num_returns=P).remote(r, P, "__key64")
-        for r in refs
-    ]
-    if P == 1:  # options(num_returns=1) would unwrap the tuple
-        splits = [[s] for s in splits]
-    hot_parts = ray.get(
-        [_bucket_hot_keys.remote(*[s[p] for s in splits]) for p in range(P)]
+    # pin ONLY the 8-byte keys for the hot-key exchange: pinning the
+    # full band rows would re-materialize a just-landed table into the
+    # store (45 GB at 50M docs × 28 tables vs a 37.6 GB store —
+    # measured: raylet spilled it straight back to disk until ENOSPC)
+    keys = band_rows.map_batches(
+        lambda t: pa.table({"bk": _ints(t, "bk")}), batch_format="pyarrow"
     )
-    hot_np = (
-        np.concatenate(hot_parts) if hot_parts else np.empty(0, np.int64)
-    )
-    if hot_np.shape[0] <= broadcast_rows_budget(bytes_per_row=8, fraction=0.004):
+    hot = exchange_reduce(keys, "bk", _repeated_keys)
+    refs, n_hot, _ = arrow_block_refs_with_rows(hot)
+    if n_hot is not None and n_hot <= broadcast_rows_budget(
+        bytes_per_row=8, fraction=0.004
+    ):
         # dup buckets are few (the common case — planted-dup corpora
-        # measure <1% of docs in dup buckets): broadcast the composite
-        # keys once. 8 B/key → ≤160 MB.
-        return finish(broadcast_filter(band_rows, hot_np, key64_of))
-    # dup-heavy corpus (>20M dup buckets): broadcast would pin too
-    # much worker heap — distributed hash join against the hot-key
-    # table instead (the hot keys are unique, so the inner join acts
-    # as a semi-join)
-    import ray.data as _rd
-
-    from .joins import bucketed_equi_join
-
-    hot = _rd.from_arrow(pa.table({"__key64": hot_np}))
-    keyed = band_rows.map_batches(
-        lambda t: t.append_column("__key64", key64_of(t)),
-        batch_format="pyarrow",
-    )
-    joined = bucketed_equi_join(
-        keyed, hot, "__key64", spill=spill
-    ).drop_columns(["__key64"])
-    return finish(joined)
+        # measure <1% of docs in dup buckets): broadcast the keys once
+        hot_np = np.concatenate([_ints(t, "bk") for t in ray.get(refs)])
+        pruned = broadcast_filter(band_rows, hot_np, "bk")
+    else:
+        # dup-heavy corpus: a broadcast would pin too much worker heap,
+        # so join against the hot keys (unique, so the inner join acts
+        # as a semi-join)
+        pruned = bucketed_equi_join(band_rows, hot, "bk", spill=spill)
+    pruned = land(pruned, spill, "pruned")
+    if spill is not None:
+        spill.free("bands")  # the pruned landing was its last read
+    return pruned
 
 
 @ray.remote
 def _pair_endpoints(t: pa.Table) -> np.ndarray:
     """Distinct endpoint ids of one candidate-pair block."""
-    if t.num_rows == 0 or "id_a" not in t.column_names:
-        return np.empty(0, np.int64)
-    return np.unique(
-        np.concatenate(
-            (
-                t["id_a"].to_numpy(zero_copy_only=False),
-                t["id_b"].to_numpy(zero_copy_only=False),
-            )
-        )
+    return np.unique(np.concatenate((_ints(t, "id_a"), _ints(t, "id_b"))))
+
+
+def _scored_pairs(ia, ib, est, out_col: str) -> pa.Table:
+    return pa.table(
+        {
+            "id_a": pa.array(ia, pa.int64()),
+            "id_b": pa.array(ib, pa.int64()),
+            out_col: pa.array(est, pa.float64()),
+        }
     )
 
 
-def _sig_agreement(col_a, col_b) -> np.ndarray:
-    """Default pair scorer: MinHash signature agreement fraction."""
-    n = len(col_a)
-    A = np.frombuffer(b"".join(col_a.to_pylist()), dtype=np.uint64).reshape(n, -1)
-    B = np.frombuffer(b"".join(col_b.to_pylist()), dtype=np.uint64).reshape(n, -1)
-    return (A == B).mean(axis=1)
-
-
 def _verify_pairs_distributed(
-    pairs,
-    sig_rows,
-    id_col: str,
-    threshold: float,
-    payload_col: str = "sig",
-    out_col: str = "jaccard_est",
-    scorer=None,
-    spill: Spill | None = None,
+    pairs, rows, dtype, score, out_col: str, threshold: float,
+    spill: Spill | None,
 ):
     """Distributed pair verify: two bucketed hash joins attach each
-    endpoint's binary payload (MinHash signature by default; any
-    per-doc bytes via ``payload_col``/``scorer`` — the embedding chain
-    passes normalized float32 vectors and a dot-product scorer) to its
-    candidate pairs, then one vectorized map computes the per-pair
-    score and filters by threshold. The joins shuffle pair ids + one
+    endpoint's (id, pl) payload row to its candidate pairs, then one
+    vectorized map scores the two unpacked payloads (``score``) and
+    keeps pairs >= ``threshold``. The joins shuffle pair ids + one
     payload per row (KBs per partition), never text; nothing touches
-    the driver. Returns a Dataset of (id_a, id_b, <out_col>).
+    the driver. Returns a Dataset of (id_a, id_b, ``out_col``).
 
     Endpoint pre-filter: the candidate list is usually orders of
     magnitude smaller than the corpus, yet a naive join re-shuffles the
-    FULL signature table both times (~4.2 GB twice at 30M docs for
+    FULL payload table both times (~4.2 GB twice at 30M docs for
     ~300k pairs — measured 432 s of a 1666 s run). When the distinct
     endpoint count fits the broadcast budget (8 B/id — 160 MB at the
-    20M default), broadcast it once and filter sig_rows to only the
-    referenced docs in one scan, so the joins shuffle candidate-sized
-    tables. Dup-heavy corpora past the limit fall back to the full
-    join, which is then the right shape anyway.
+    20M default), broadcast it once and filter the payload rows to only
+    the referenced docs in one scan, so the joins shuffle
+    candidate-sized tables. Dup-heavy corpora past the limit fall back
+    to the full join, which is then the right shape anyway.
 
     ``spill``: both joins run disk-backed (a 60M-doc funnel's
     candidate-pair × payload join spilled past the raylet disk monitor
     through the in-plasma exchange — measured); only the SCORED pairs,
     threshold-filtered with payloads dropped, are materialized."""
     n_pairs = pairs.count()
+    if n_pairs == 0:
+        # typed even when empty: a map over no blocks has no schema
+        return ray.data.from_arrow(_scored_pairs(_NO_IDS, _NO_IDS, [], out_col))
     limit = broadcast_rows_budget(bytes_per_row=8, fraction=0.004)
     # gate on the ACTUAL distinct endpoint count, not the 2·n_pairs
     # proxy: star emission makes endpoints ≈ n_pairs (each member pairs
@@ -852,37 +752,25 @@ def _verify_pairs_distributed(
     # costs 16 B × 2·n_pairs transient driver memory; cap that at 8×
     # the budget (~2.6 GB at the 20M default) and assume over-budget
     # beyond it.
-    eps = None
-    if 0 < 2 * n_pairs <= 8 * limit:
+    if 2 * n_pairs <= 8 * limit:
         parts = ray.get(
             [_pair_endpoints.remote(r) for r in arrow_block_refs(pairs)]
         )
-        eps = (
-            np.unique(np.concatenate(parts))
-            if parts
-            else np.empty(0, np.int64)
-        )
-        if eps.shape[0] > limit:
-            eps = None
-    if eps is not None:
-        # land the (endpoint-sized) subset: sa and sb both branch off it,
-        # so an unlanded filter would rescan the full sig table twice
-        sig_rows = broadcast_filter(sig_rows, eps, id_col).materialize()
+        eps = np.unique(np.concatenate(parts))
+        if eps.shape[0] <= limit:
+            # land the (endpoint-sized) subset: sa and sb both branch
+            # off it, so an unlanded filter would rescan the full
+            # payload table twice
+            rows = broadcast_filter(rows, eps, "id").materialize()
 
-    score = scorer or _sig_agreement
-
-    def as_a(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"id_a": t[id_col].cast(pa.int64()), "pl_a": t[payload_col]}
-        )
-
-    def as_b(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"id_b": t[id_col].cast(pa.int64()), "pl_b": t[payload_col]}
-        )
-
-    sa = sig_rows.map_batches(as_a, batch_format="pyarrow")
-    sb = sig_rows.map_batches(as_b, batch_format="pyarrow")
+    sa = rows.map_batches(
+        lambda t: pa.table({"id_a": t["id"], "pl_a": t["pl"]}),
+        batch_format="pyarrow",
+    )
+    sb = rows.map_batches(
+        lambda t: pa.table({"id_b": t["id"], "pl_b": t["pl"]}),
+        batch_format="pyarrow",
+    )
     # the raw-task bucket-exchange join pins ~2 copies of each side
     # (block refs + split outputs) in the object store: fine for
     # endpoint-filtered sides; a full-corpus payload side needs
@@ -891,42 +779,18 @@ def _verify_pairs_distributed(
     # the two so the second join reads landed blocks. The fan-out sizes
     # itself to the candidate volume (RefBundle row metadata, no extra
     # execution).
-    from .joins import bucketed_equi_join
-
     j1 = bucketed_equi_join(pairs, sa, "id_a", spill=spill).materialize()
     j = bucketed_equi_join(j1, sb, "id_b", spill=spill)
 
-    scored = j.map_batches(
-        _make_est_batch(score, threshold, out_col), batch_format="pyarrow"
-    )
-    return scored if spill is None else scored.materialize()
-
-
-def _make_est_batch(score, threshold, out_col):
-    """Per-batch pair scorer of the verify join: score the two payload
-    columns, keep >= threshold, drop payloads."""
-
     def est_batch(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    out_col: pa.array([], pa.float64()),
-                }
-            )
-        e = score(t["pl_a"].combine_chunks(), t["pl_b"].combine_chunks())
+        e = score(_unpack(t["pl_a"], dtype), _unpack(t["pl_b"], dtype))
         keep = e >= threshold
-        sub = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "id_a": sub["id_a"],
-                "id_b": sub["id_b"],
-                out_col: pa.array(e[keep], pa.float64()),
-            }
+        return _scored_pairs(
+            _ints(t, "id_a")[keep], _ints(t, "id_b")[keep], e[keep], out_col
         )
 
-    return est_batch
+    scored = j.map_batches(est_batch, batch_format="pyarrow")
+    return scored if spill is None else scored.materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +955,6 @@ def simhash_dedup(
     disk-backed (``spill.phases`` split-phase for volumes that cannot
     hold input + one landed copy). Each landing is freed after its
     last reader; results are byte-identical (parity-tested)."""
-    from .exchange import exchange_reduce
 
     if sig_bits not in (64, 128):
         raise ValueError(f"sig_bits must be 64 or 128, got {sig_bits}")
@@ -1103,32 +966,23 @@ def simhash_dedup(
     sig_cols = ["simhash"] if sig_bits == 64 else ["sh_lo", "sh_hi"]
 
     def add_simhash(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        ids = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        ids = _ints(batch, id_col)
+        texts = batch[text_col].to_pylist()
         if sig_bits == 64:
-            sh = simhash_signatures(batch[text_col].to_pylist())
+            sh = simhash_signatures(texts)
             band_w = 64 // n_bands
-            mask = np.uint64((1 << band_w) - 1)
             shifts = np.uint64(band_w) * np.arange(n_bands, dtype=np.uint64)
-            bh = (sh[None, :] >> shifts[:, None]) & mask  # (n_bands, n)
-            bands = np.repeat(np.arange(n_bands, dtype=np.int64), n)
-            bk = (bands << 56) | bh.reshape(-1).astype(np.int64)
-            return pa.table(
-                {
-                    "bk": pa.array(bk, pa.int64()),
-                    id_col: pa.array(np.tile(ids, n_bands)),
-                    "simhash": pa.array(np.tile(sh, n_bands)),
-                }
-            )
+            keys = (sh[:, None] >> shifts) & np.uint64((1 << band_w) - 1)
+            return _band_rows(keys, ids, simhash=sh)
         from itertools import combinations
 
-        sig = simhash128_signatures(batch[text_col].to_pylist())
+        sig = simhash128_signatures(texts)
         lo, hi = sig[:, 0], sig[:, 1]
-        mask16 = np.uint64(0xFFFF)
-        blocks = np.empty((8, n), np.uint64)
-        for b in range(4):
-            blocks[b] = (lo >> np.uint64(16 * b)) & mask16
-            blocks[4 + b] = (hi >> np.uint64(16 * b)) & mask16
+        # 16-bit blocks 0-3 of the low word, 4-7 of the high word
+        blocks = [
+            (w >> np.uint64(16 * b)) & np.uint64(0xFFFF)
+            for w in (lo, hi) for b in range(4)
+        ]
         if table_design == "matching":
             combos = [(0, 1), (2, 3), (4, 5), (6, 7)]  # h≤3, 4 tables
         elif table_design == "triples":
@@ -1151,29 +1005,17 @@ def simhash_dedup(
             ]
         else:
             combos = list(combinations(range(8), 2))  # h≤6, 28 tables
-        bks = [
-            (np.int64(t) << 56)
-            | ((blocks[i] << np.uint64(16)) | blocks[j]).astype(np.int64)
-            for t, (i, j) in enumerate(combos)
-        ]
-        reps = len(combos)
-        return pa.table(
-            {
-                "bk": pa.array(np.concatenate(bks), pa.int64()),
-                id_col: pa.array(np.tile(ids, reps)),
-                "sh_lo": pa.array(np.tile(lo, reps)),
-                "sh_hi": pa.array(np.tile(hi, reps)),
-            }
+        keys = np.stack(
+            [(blocks[i] << np.uint64(16)) | blocks[j] for i, j in combos], axis=1
         )
+        return _band_rows(keys, ids, sh_lo=lo, sh_hi=hi)
 
     band_rows = _prune_singleton_buckets(
-        ds.map_batches(add_simhash, batch_format="pyarrow"),
-        key_col="bk",
-        spill=spill,
+        ds.map_batches(add_simhash, batch_format="pyarrow"), spill
     )
 
     def verify_bucket(t: pa.Table) -> pa.Table:
-        ids = _ints(t, id_col)
+        ids = _ints(t, "id")
         rows, slices = _bucket_pairs(_ints(t, "bk"), ids)
         ids = ids[rows]
         shs = [
@@ -1240,7 +1082,6 @@ def jaccard_all_pairs(
     emits g(g−1)/2 pair rows, so boilerplate-heavy corpora blow up
     step 2 quadratically — which is exactly why the LSH chain exists.
     """
-    from .exchange import exchange_reduce
 
     def to_shingle_rows(t: pa.Table) -> pa.Table:
         tids = _token_ids(t[text_col].to_pylist())
@@ -1296,7 +1137,6 @@ def jaccard_all_pairs(
         return inter.map_batches(finish_bcast, batch_format="pyarrow")
 
     # sizes too large to broadcast: two bucketed hash equi-joins
-    from .joins import bucketed_equi_join
 
     sa = sizes.map_batches(
         lambda t: pa.table({"id_a": t["doc"], "n_a": t["n_sh"]}),
@@ -1393,14 +1233,16 @@ def embedding_neardup(
     subset of it (precision 1.0) because the verify recomputes the true
     cosine.
 
-    One code path for every corpus size: one scan lands normalized
+    One code path for every corpus size, the LSH chain of
+    ``minhash_lsh_dedup`` (``_lsh_chain``): one scan lands normalized
     float32 (id, vn) rows (4·d B/doc, once, NOT per band), only slim
-    (band, bucket, id) rows cross the banding shuffle, singleton
-    buckets are pruned, the shared ``_candidate_pairs`` exchanges emit
-    distinct candidate pairs (``pair_emission``/``max_bucket_size`` as
-    in ``minhash_lsh_dedup``), and verify is the distributed payload
-    join with a dot-product scorer. ``small_corpus_rows`` is kept for
-    API compatibility and ignored.
+    (bk, id) rows cross the banding shuffle, singleton buckets are
+    pruned, the shared ``_candidate_pairs`` exchanges emit distinct
+    candidate pairs (``pair_emission``/``max_bucket_size`` as in
+    ``minhash_lsh_dedup``), and verify is the distributed payload join
+    with a dot-product scorer. Returns a Dataset of (id_a, id_b,
+    cosine). ``small_corpus_rows`` is kept for API compatibility and
+    ignored.
 
     ``spill`` lands every intermediate table and runs the exchange and
     joins disk-backed, as in ``minhash_lsh_dedup``. The vector table
@@ -1409,151 +1251,36 @@ def embedding_neardup(
     and verify shuffles (a 30M×64d run without it died in raylet-spill
     ENOSPC on an ~80 GB disk).
     """
-    if pair_emission not in ("pairs", "star"):
-        raise ValueError(
-            f"pair_emission must be 'pairs' or 'star', got {pair_emission!r}"
-        )
-    n_docs = ds.count()
-    n_planes, n_bands = embedding_lsh_params(
-        n_docs, threshold, n_planes, n_bands
-    )
     from .similarity import _normalize, _to_matrix
 
-    def to_vec_rows(batch: pa.Table) -> pa.Table:
-        V = _to_matrix(batch[vec_col], np.float64)
-        Vn = _normalize(V).astype(np.float32)
-        return pa.table(
-            {
-                id_col: batch[id_col].cast(pa.int64()),
-                "vn": pa.array([row.tobytes() for row in Vn], pa.binary()),
-            }
-        )
-
-    # one scan; banding and the verify join both consume the landed rows
-    vec_rows = land(
-        ds.map_batches(to_vec_rows, batch_format="pyarrow"), spill, "vecs"
+    n_planes, n_bands = embedding_lsh_params(
+        ds.count(), threshold, n_planes, n_bands
     )
+    pows = (np.uint64(1) << np.arange(n_planes, dtype=np.uint64))[::-1]
+    planes: list = []  # drawn once per worker, at the first batch's width
 
-    state: dict = {"planes": None}
-    empty_bands = pa.table(
-        {
-            "band": pa.array([], pa.int32()),
-            "band_hash": pa.array([], pa.int64()),
-            id_col: pa.array([], pa.int64()),
-        }
-    )
+    def encode(batch: pa.Table) -> pa.Table:
+        vn = _normalize(_to_matrix(batch[vec_col], np.float64))
+        return _payload_rows(batch[id_col], vn.astype(np.float32))
 
-    def vn_to_bands(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0 or "vn" not in batch.column_names:
-            return empty_bands
-        Vn = (
-            np.frombuffer(b"".join(batch["vn"].to_pylist()), dtype=np.float32)
-            .reshape(n, -1)
-            .astype(np.float64)
-        )
-        if state["planes"] is None:
-            d = dim or Vn.shape[1]
-            state["planes"] = np.random.default_rng(seed).normal(
-                size=(d, n_planes * n_bands)
+    def band_keys(vn: np.ndarray) -> np.ndarray:
+        if not planes:
+            planes.append(
+                np.random.default_rng(seed).normal(
+                    size=(dim or vn.shape[1], n_planes * n_bands)
+                )
             )
-        proj = Vn @ state["planes"]
-        bits = (proj > 0).reshape(n, n_bands, n_planes)
-        pows = (np.uint64(1) << np.arange(n_planes, dtype=np.uint64))[::-1]
-        bucket = (bits.astype(np.uint64) * pows).sum(axis=2)  # (n, n_bands)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "band": pa.array(np.repeat(np.arange(n_bands, dtype=np.int32), n)),
-                "band_hash": pa.array(bucket.T.reshape(-1).view(np.int64)),
-                id_col: pa.array(np.tile(ids, n_bands)),
-            }
+        bits = (vn.astype(np.float64) @ planes[0] > 0).reshape(
+            -1, n_bands, n_planes
         )
+        return (bits.astype(np.uint64) * pows).sum(axis=2)  # (n, n_bands)
 
-    band_rows = _prune_singleton_buckets(
-        vec_rows.map_batches(vn_to_bands, batch_format="pyarrow"),
-        spill=spill,
-    )
-    pairs = _candidate_pairs(
-        band_rows, id_col, max_bucket_size, pair_emission, spill
-    )
+    def cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", a.astype(np.float64), b.astype(np.float64))
 
-    def cos_score(col_a, col_b) -> np.ndarray:
-        n = len(col_a)
-        A = (
-            np.frombuffer(b"".join(col_a.to_pylist()), dtype=np.float32)
-            .reshape(n, -1)
-            .astype(np.float64)
-        )
-        B = (
-            np.frombuffer(b"".join(col_b.to_pylist()), dtype=np.float32)
-            .reshape(n, -1)
-            .astype(np.float64)
-        )
-        return np.einsum("ij,ij->i", A, B)
-
-    verified = _verify_pairs_distributed(
-        pairs,
-        vec_rows,
-        id_col,
-        threshold,
-        payload_col="vn",
-        out_col="cosine",
-        scorer=cos_score,
-        spill=spill,
-    )
-    if spill is not None:
-        spill.free("vecs")  # the verify joins were its last readers
-    return verified
-
-
-# ---------------------------------------------------------------------------
-# Connected components (cluster ids from pairs)
-# ---------------------------------------------------------------------------
-
-
-def connected_components(pairs_df: pd.DataFrame, id_a="id_a", id_b="id_b") -> dict:
-    """Union-find over a SMALL pair list on the driver (test/driver
-    convenience). For web-scale pair sets use
-    ``connected_components_distributed`` — real corpora have many
-    mid-size clusters and the pair list does not fit one process."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs_df[id_a], pairs_df[id_b]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {x: find(x) for x in set(pairs_df[id_a]) | set(pairs_df[id_b])}
-
-
-def connected_components_distributed(
-    pairs_ds,
-    id_a: str = "id_a",
-    id_b: str = "id_b",
-    max_rounds: int = 30,
-    driver_finish_edges: int = 5_000_000,
-):
-    """Distributed connected components over a pair Dataset — thin
-    wrapper over ``sod_ray.stages.cc.connected_components_bucketed``
-    (contraction levels on explicit hash-bucket exchanges + a bounded
-    driver union-find finish; see that module for the algorithm and
-    its partitioning assumptions). Returns a Dataset of (node, label)
-    with label = min node id of the component — the same contract as
-    the driver ``connected_components`` oracle."""
-    from .cc import connected_components_bucketed
-
-    return connected_components_bucketed(
-        pairs_ds,
-        id_a=id_a,
-        id_b=id_b,
-        max_levels=max_rounds,
-        driver_finish_edges=driver_finish_edges,
+    return _lsh_chain(
+        ds, "vecs", encode, np.float32, band_keys, cosine, "cosine",
+        threshold, max_bucket_size, pair_emission, spill,
     )
 
 
@@ -1590,7 +1317,6 @@ def line_dedup(
     line text crosses each exchange exactly once (it must: it is the
     output). Buckets must fit a worker's heap — size ``num_buckets``
     (default max(8, CPUs)) to the corpus."""
-    from .exchange import exchange_reduce
 
     def explode(t: pa.Table) -> pa.Table:
         txt = pc.fill_null(t[text_col].combine_chunks(), "")
@@ -1690,8 +1416,8 @@ def neardup_drop_ids(
     """Near-dup DECISION: the slim Dataset of doc ids to drop (one
     ``node`` int64 column — the non-canonical members of every near-dup
     cluster), or ``None`` when the corpus has no near-dups. MinHash+LSH
-    verified pairs (kept as a Dataset — a web corpus' pair list need
-    not fit on the driver) → distributed connected components → drop
+    verified pairs (a Dataset — a web corpus' pair list need not fit
+    on the driver) → distributed connected components → drop
     every member whose label != its own id (canonical = min member id).
 
     Split out from :func:`neardup_dedup_corpus` so curation pipelines
@@ -1711,7 +1437,6 @@ def neardup_drop_ids(
             text_col,
             id_col,
             jaccard_threshold=jaccard_threshold,
-            as_dataset=True,
             pair_emission=pair_emission,
             **lsh_kwargs,
         )
@@ -1728,7 +1453,7 @@ def _non_canonical_ids(pairs):
     ).materialize()
     if pairs.count() == 0:  # no near-dups anywhere
         return None
-    labels = connected_components_distributed(pairs)
+    labels = connected_components_bucketed(pairs)
 
     def non_canonical(t: pa.Table) -> pa.Table:
         keep = pc.not_equal(t["node"], t["label"])
@@ -1824,25 +1549,13 @@ def collect_minhash_sigs(
     """(ids int64 (n,), sigs uint64 (n, n_perm)) of one arrival batch —
     signatures computed distributed (map_batches), gathered to the
     caller (batch-scale by the contract above)."""
-
-    def sig_rows(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        sig = minhash_signatures(texts, n_perm, shingle_k, seed)
-        return pa.table(
-            {
-                id_col: t[id_col].cast(pa.int64()),
-                "sig": pa.array([row.tobytes() for row in sig], pa.binary()),
-            }
-        )
-
-    out = ds.map_batches(sig_rows, batch_format="pyarrow").take_all()
+    encode = _sig_rows(text_col, id_col, n_perm, shingle_k, seed)
+    out = ds.map_batches(encode, batch_format="pyarrow").take_all()
     if not out:
         return np.empty(0, np.int64), np.empty((0, n_perm), np.uint64)
-    ids = np.asarray([r[id_col] for r in out], dtype=np.int64)
-    sigs = np.frombuffer(
-        b"".join(r["sig"] for r in out), dtype=np.uint64
-    ).reshape(-1, n_perm)
-    return ids, sigs
+    ids = np.asarray([r["id"] for r in out], dtype=np.int64)
+    sigs = np.frombuffer(b"".join(r["pl"] for r in out), np.uint64)
+    return ids, sigs.reshape(-1, n_perm)
 
 
 def _index_meta_guard(
@@ -1941,7 +1654,6 @@ def minhash_index_probe(
     nothing index-sized ever reaches the caller. ``exclude_rid`` skips
     the probing batch's own shards so a crash retry never drops its
     own documents."""
-    import ray
     import ray.data as rd
 
     if ids.shape[0] == 0 or not os.path.isdir(index_dir):
@@ -2075,8 +1787,6 @@ def decontaminate(
     searchsorted. Nothing shuffles; output is contaminated-doc-count
     sized. 64-bit hash collisions are the false-positive bound (~1e-7
     at a 1e8-gram corpus against a 1e5-gram benchmark)."""
-    import pyarrow.compute as pc
-
     bench = benchmark_ngram_hashes(benchmark_texts, n, lowercase)
     ref = ray.put(bench)
 

@@ -10,9 +10,13 @@ hash-bucket exchange: every block splits its rows into P buckets by
 ``key % P``, one reduce task per bucket concatenates its pieces and
 runs ONE vectorized callable over the whole bucket.
 
-This module is the generic form of that pattern (the same shape as the
-hand-rolled exchanges in ``stages/cc.py`` and
-``stages/dedup._prune_singleton_buckets``).
+This module is that pattern's one-table implementation
+(``exchange_reduce``): the near-dup chains in ``stages/dedup``
+(including the singleton prune's hot-key pass), line and exact dedup
+and the group reductions of the other stages run on it. Two-sided
+splits keep their own tasks: ``joins.bucketed_equi_join`` splits both
+join sides, and ``stages/cc.py`` splits numpy edge arrays per
+contraction level.
 
 Partitioning assumption (document per use): all rows of one bucket are
 concatenated in a single reduce task, so the largest bucket must fit in

@@ -89,15 +89,19 @@ def merge_sketch_group(group: pa.Table) -> pa.Table:
     """map_groups fn: merge all partial sketches of one (key, column)
     into one finalized stats row. The quantile column decodes by tag,
     so t-digest and KLL partials both merge here (homogeneous per
-    run — the partials stage picks one backend)."""
+    run — the partials stage picks one backend). Partials fold in the
+    order of their serialized bytes, not the order the shuffle
+    delivers them: the t-digest and Welford folds depend on order, so
+    the merged row is then the same for any block layout or task
+    timing."""
     from ..state.sketches import quantile_sketch_from_bytes
 
     wf = Welford()
     hll = HyperLogLog()
-    for b in group["welford"].to_pylist():
+    for b in sorted(group["welford"].to_pylist()):
         wf.merge(Welford.from_bytes(b))
     td = None
-    for b in group["tdigest"].to_pylist():
+    for b in sorted(group["tdigest"].to_pylist()):
         sk = quantile_sketch_from_bytes(b)
         td = sk if td is None else td.merge(sk)
     if td is None:
@@ -199,7 +203,7 @@ def kll_column_quantiles(
 
     def merge(group: pa.Table) -> pa.Table:
         sk = KLL(k=k)
-        for b in group["kll"].to_pylist():
+        for b in sorted(group["kll"].to_pylist()):  # a fixed fold order
             sk.merge(KLL.from_bytes(b))
         vals = sk.quantiles(qs)
         cols = {

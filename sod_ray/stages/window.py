@@ -124,118 +124,6 @@ def windowed_lof(
     return slim.groupby(key).map_groups(per_group, batch_format="pandas")
 
 
-def windowed_zscore_manual(
-    ds,
-    keys: list[str],
-    key: str,
-    ts_col: str,
-    value_col: str,
-    id_cols: list[str] | None = None,
-    window: int = 64,
-    min_periods: int = 8,
-    threshold: float = 3.0,
-    sink_dir: str | None = None,
-    sink_key_prefix: str | None = None,
-):
-    """Known-key-set windowed z-score via an explicit two-stage shuffle
-    with raw Ray tasks (the documented Dataset-API escape hatch).
-
-    With ``sink_dir`` set, each reduce task WRITES its partition's
-    flagged rows to ``<sink_dir>/<prefix>=<key>/peaks-0.parquet``
-    itself and only (key, n_flagged) rows return to the driver — the
-    violation sidecar never funnels through one process (the 100 TB
-    path). Without it, the flagged rows come back as a DataFrame
-    (test/oracle convenience).
-
-    ``Dataset.groupby().map_groups`` sorts the WHOLE dataset to group it
-    — wasteful when the key space is tiny (≤ dozens of entities). Here:
-    stage 1 splits each block by key (num_returns=len(keys), so pieces
-    flow worker-to-worker, never through the driver); stage 2 runs one
-    task per key: concat → sort by (ts, ids) → rolling z-score.
-
-    Partitioning assumption: one key's full slim history fits one
-    worker (same contract as the reference's per-entity window,
-    /root/reference/internal/dispatcher/manager.go:222-235). For
-    finer-grained entity keys use windowed_zscore (sort-based).
-    Returns a pandas DataFrame of flagged rows."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    cols = [key, ts_col, value_col] + [
-        c for c in (id_cols or []) if c not in (key, ts_col, value_col)
-    ]
-    slim = ds.select_columns(cols)
-    key_index = {k: i for i, k in enumerate(keys)}
-
-    @ray.remote
-    def split_block(block: pa.Table):
-        import pyarrow.compute as pc2
-
-        out = [None] * len(keys)
-        codes = block[key].combine_chunks().dictionary_encode()
-        idx = codes.indices.to_numpy(zero_copy_only=False)
-        dictionary = codes.dictionary.to_pylist()
-        order = np.argsort(idx, kind="stable")
-        bounds = np.searchsorted(idx[order], np.arange(len(dictionary)))
-        bounds = np.append(bounds, idx.shape[0])
-        for d, val in enumerate(dictionary):
-            rows = order[bounds[d] : bounds[d + 1]]
-            ki = key_index.get(str(val))
-            if ki is not None and rows.size:
-                out[ki] = block.take(pa.array(rows))
-        empty = block.slice(0, 0)
-        return tuple(t if t is not None else empty for t in out)
-
-    @ray.remote
-    def reduce_key(key_val, *pieces):
-        tables = [t for t in pieces if t.num_rows]
-        if not tables:
-            flagged = pd.DataFrame(columns=cols + ["z", "is_peak"])
-        else:
-            g = pa.concat_tables(tables).to_pandas()
-            sort_cols = [ts_col] + [c for c in (id_cols or []) if c in g.columns]
-            g = g.sort_values(sort_cols, kind="stable").reset_index(drop=True)
-            z = rolling_zscore(g[value_col].to_numpy(), window, min_periods)
-            g["z"] = z
-            with np.errstate(invalid="ignore"):
-                g["is_peak"] = np.abs(z) > threshold
-            flagged = g[g["is_peak"]]
-        if sink_dir is None:
-            return flagged
-        import os
-
-        import pyarrow.parquet as pq
-
-        prefix = sink_key_prefix or key
-        pdir = os.path.join(sink_dir, f"{prefix}={key_val}")
-        os.makedirs(pdir, exist_ok=True)
-        flagged = flagged.copy()
-        flagged["violation"] = "peak"
-        pq.write_table(
-            pa.Table.from_pandas(flagged, preserve_index=False),
-            os.path.join(pdir, "peaks-0.parquet"),
-        )
-        return pd.DataFrame({key: [key_val], "n_flagged": [len(flagged)]})
-
-    split_fn = split_block.options(num_returns=len(keys))
-    block_refs = arrow_block_refs(slim)
-    per_key: list[list] = [[] for _ in keys]
-    for ref in block_refs:
-        outs = split_fn.remote(ref)
-        if len(keys) == 1:
-            outs = [outs]
-        for i, r in enumerate(outs):
-            per_key[i].append(r)
-    results = ray.get(
-        [reduce_key.remote(k, *refs) for k, refs in zip(keys, per_key)]
-    )
-    out = pd.concat([r for r in results if len(r)], ignore_index=True) if any(
-        len(r) for r in results
-    ) else pd.DataFrame(columns=(cols + ["z", "is_peak"]) if sink_dir is None else [key, "n_flagged"])
-    return out
-
-
 def windowed_zscore_sorted(
     ds,
     key: str,

@@ -579,6 +579,28 @@ def test_drift_noise_floor_same_distribution_shards(ray_session):
     assert moved[moved["has_baseline"]]["drifted"].all()
 
 
+@pytest.mark.parametrize("quantile_sketch", ["tdigest", "kll"])
+def test_sketch_merge_fold_order_is_canonical(quantile_sketch):
+    """``merge_sketch_group`` folds its partials in a fixed order: all 24
+    orders of four partials of one (key, column) group merge to
+    byte-identical rows. The fold used to follow the order the shuffle
+    delivered the rows in, and the t-digest merge depends on it."""
+    import itertools
+
+    from sod_ray.stages.stats import make_sketch_partials, merge_sketch_group
+
+    rng = np.random.default_rng(4)
+    partial = make_sketch_partials(["v"], quantile_sketch=quantile_sketch)
+    group = pa.concat_tables(
+        [partial(pa.table({"v": rng.gamma(2.0, s, 500)})) for s in (1, 3, 10, 30)]
+    )
+    outs = [
+        merge_sketch_group(group.take(list(order)))
+        for order in itertools.permutations(range(group.num_rows))
+    ]
+    assert all(o.equals(outs[0]) for o in outs)
+
+
 def test_kll_column_quantiles_stage(ray_session):
     import ray.data as rd
 

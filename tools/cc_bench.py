@@ -1,4 +1,4 @@
-"""Planted-graph benchmark for connected_components_distributed.
+"""Planted-graph benchmark for connected_components_bucketed.
 
 Builds a deterministic edge Dataset with KNOWN component structure —
 long chains (stress pointer jumping / diameter), stars (hub fan-in),
@@ -76,7 +76,7 @@ def main(n_edges: int = 2_000_000, num_cpus: int = 32):
     import ray
     import ray.data as rd
 
-    from sod_ray.stages.dedup import connected_components_distributed
+    from sod_ray.stages.cc import connected_components_bucketed
 
     if not ray.is_initialized():
         ray.init(
@@ -89,7 +89,7 @@ def main(n_edges: int = 2_000_000, num_cpus: int = 32):
     ).repartition(max(8, num_cpus)).materialize()
 
     t0 = time.perf_counter()
-    labels = connected_components_distributed(pairs)
+    labels = connected_components_bucketed(pairs)
     from ray.data.aggregate import Sum
 
     got_sum = labels.aggregate(Sum("label"))["sum(label)"]

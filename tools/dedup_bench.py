@@ -1,6 +1,6 @@
 """Near-dup chain benchmark at scale: synthetic corpus with PLANTED
 near-dup families → minhash_lsh_dedup (large distributed path) →
-connected_components_distributed → recall/precision vs planted truth.
+connected_components_bucketed → recall/precision vs planted truth.
 
 Corpus: N docs of ~80 tokens drawn from a 50k-word vocab (random pairs
 have Jaccard ≈ 0). A `fam_frac` fraction of docs form families of 2-4
@@ -110,10 +110,8 @@ def main(
 
     rd.DataContext.get_current().enable_progress_bars = False
 
-    from sod_ray.stages.dedup import (
-        connected_components_distributed,
-        minhash_lsh_dedup,
-    )
+    from sod_ray.stages.cc import connected_components_bucketed
+    from sod_ray.stages.dedup import minhash_lsh_dedup
 
     d = f"/tmp/sod_dedup/corpus-{n_docs}"
     if not os.path.exists(f"{d}/docs/shard={n_shards - 1:05d}.parquet"):
@@ -136,7 +134,7 @@ def main(
         bands=bands,
         pair_emission=pair_emission,
         spill=spill,
-    )
+    ).to_pandas()
     pairs_s = time.perf_counter() - t0
     found = {
         (min(a, b), max(a, b))
@@ -149,8 +147,8 @@ def main(
     precision = hit / max(1, len(found))
 
     t0 = time.perf_counter()
-    labels = connected_components_distributed(
-        rd.from_arrow(pairs.select(["id_a", "id_b"]))
+    labels = connected_components_bucketed(
+        rd.from_pandas(pairs[["id_a", "id_b"]])
     )
     lab = labels.to_pandas()
     cc_s = time.perf_counter() - t0

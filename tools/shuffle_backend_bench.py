@@ -2,7 +2,8 @@
 band-bucket-shaped aggregation (N rows, ~N distinct (band, band_hash)
 keys — the worst case: nearly every group is a singleton) timed under
 Ray Data's three shuffle strategies, vs the repo's raw-task hash-bucket
-key exchange (stages/dedup.py pattern).
+key exchange (``stages.exchange.exchange_reduce``, as the near-dup
+prune's hot-key pass runs it).
 
 Each strategy runs in a FRESH subprocess + fresh ray.init so executor
 state can't leak between trials.
@@ -54,12 +55,18 @@ ds = rd.range(SHARDS).map_batches(
 
 t0 = time.perf_counter()
 if strategy == "raw_exchange":
-    from sod_ray.stages.dedup import _bucket_hot_keys, _bucket_keys_split
-    P = 32
-    refs = ds.to_arrow_refs()
-    splits = [_bucket_keys_split.options(num_returns=P).remote(r, P) for r in refs]
-    hot = ray.get([_bucket_hot_keys.remote(*[s[p] for s in splits]) for p in range(P)])
-    n_hot = int(sum(h.shape[0] for h in hot))
+    # the near-dup prune's hot-key pass: the composite 8-byte bucket
+    # key through one exchange_reduce whose reduce keeps repeated keys
+    from sod_ray.stages.dedup import _repeated_keys
+    from sod_ray.stages.exchange import exchange_reduce
+
+    def to_bk(t):
+        band = t["band"].to_numpy().astype(np.uint64) << np.uint64(56)
+        key = t["band_hash"].to_numpy().astype(np.uint64) & np.uint64((1 << 56) - 1)
+        return pa.table({"bk": (band | key).view(np.int64)})
+
+    keys = ds.map_batches(to_bk, batch_format="pyarrow")
+    n_hot = exchange_reduce(keys, "bk", _repeated_keys, num_buckets=32).count()
 else:
     from ray.data.aggregate import Count
     counts = ds.groupby(["band", "band_hash"]).aggregate(Count(alias_name="c"))
