@@ -138,35 +138,82 @@ def _meta_row_count(path: str) -> int:
     )
 
 
-def _write_decision(drop_ds, pdir: str) -> int:
-    """Land a slim drop-id Dataset as parquet under ``pdir`` (clear →
-    write to tmp → rename, so a torn write is invisible). Returns the
-    drop count. ``drop_ds=None`` lands an empty file — 'decided:
-    nothing to drop' is itself checkpointable state."""
-    import pyarrow.parquet as pq
+def _drop_budget(cfg: CurateConfig) -> int:
+    """Largest drop set the funnel pulls into the driver and broadcasts
+    (``cfg.broadcast_limit``, or derived from the object store)."""
+    if cfg.broadcast_limit is not None:
+        return cfg.broadcast_limit
+    from ..stages.exchange import broadcast_rows_budget
 
+    # drop ids are packed int64 broadcast ONCE via ray.put and probed
+    # zero-copy with searchsorted — per-node cost is 8 B × n in the
+    # store, no per-worker hash build, so the budget is far looser than
+    # the generic 16-B-object-row default (~94M ids on a 37.6 GB store
+    # vs 5M). The generic budget here sent a 60M-doc funnel's 6M
+    # quality drops down the acc_big anti-join path, which exchanges
+    # the TEXT-bearing corpus per later stage — measured: raylet spill
+    # past the 95% disk monitor on this VM. Truly huge drop sets (10^11
+    # at the 10^12-doc tier) still take the anti-join.
+    return broadcast_rows_budget(bytes_per_row=8, fraction=0.02)
+
+
+def _write_decision(drop_ds, pdir: str, budget: int):
+    """Land a decision's drop ids under ``pdir`` (clear → write to tmp
+    → rename, so a torn write is invisible) without executing
+    ``drop_ds`` again. ``drop_ds`` is the decision's MATERIALIZED slim
+    {"node": int64} Dataset, or None for 'nothing to drop'; its row
+    count and block refs come from the RefBundle metadata.
+
+    A set of at most ``budget`` ids is pulled into the driver (the
+    funnel broadcasts it from there anyway) and written with
+    ``pq.write_table``: the decision's one execution is its compute. A
+    larger set keeps ``write_parquet``. An empty set lands an empty
+    file — 'decided: nothing to drop' is itself checkpointable state.
+    Returns (drop, n): the int64 id array for a set within budget, else
+    the lazy checkpoint Dataset."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from ..stages.blocks import arrow_block_refs_with_rows
+
+    refs, n = [], 0
+    if drop_ds is not None:
+        refs, n, _ = arrow_block_refs_with_rows(drop_ds)
+        if n is None:
+            n = drop_ds.count()  # materialized: metadata, no execution
     shutil.rmtree(pdir, ignore_errors=True)
     tmp = pdir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    if drop_ds is None:
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(
-            pa.table({"node": pa.array([], pa.int64())}),
-            os.path.join(tmp, "empty.parquet"),
-        )
-        n = 0
-    else:
+    if n > budget:
         drop_ds.write_parquet(tmp)
-        n = _meta_row_count(tmp)
+        os.rename(tmp, pdir)
+        return _load_decision(pdir, budget)
+    drop = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [t["node"].to_numpy() for t in ray.get(refs) if t.num_rows]
+    ).astype(np.int64, copy=False)
+    os.makedirs(tmp)
+    pq.write_table(
+        pa.table({"node": pa.array(drop, pa.int64())}),
+        os.path.join(tmp, "drops.parquet"),
+    )
     os.rename(tmp, pdir)
-    return n
+    return drop, n
 
 
-def _load_decision(pdir: str):
+def _load_decision(pdir: str, budget: int):
+    """(drop, n) of a landed decision: ``n`` from the parquet footers;
+    a set of at most ``budget`` ids is read on the driver with pyarrow
+    into an int64 array, a larger one stays a lazy ``read_parquet``
+    Dataset (the funnel anti-joins it)."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     n = _meta_row_count(pdir)
-    return (rd.read_parquet(pdir) if n else None), n
+    if n > budget:
+        return rd.read_parquet(pdir), n
+    ids = pq.read_table(pdir, columns=["node"])["node"]
+    return ids.to_numpy().astype(np.int64, copy=False), n
 
 
 def _summarize_cfg(cfg: CurateConfig) -> dict:
@@ -392,17 +439,20 @@ def run_export(
 
     def decision(name: str, compute):
         """Checkpointed decision stage: recompute or reload the slim
-        drop-id set; fold it into the accumulated drop-set."""
+        drop-id set; fold it into the accumulated drop-set. A computed
+        set is materialized once, and that is its only Ray Data
+        execution when it fits the broadcast budget."""
         nonlocal acc_n
         key = f"decision:{name}"
         pdir = os.path.join(ddir, name)
         t0 = time.perf_counter()
         if key in committed and os.path.isdir(pdir):
-            drop, n = _load_decision(pdir)
+            drop, n = _load_decision(pdir, _drop_budget(cfg))
             report["resumed_stages"].append(name)
         else:
-            n = _write_decision(compute(), pdir)
-            drop = _load_decision(pdir)[0]
+            d = compute()
+            d = None if d is None else d.materialize()
+            drop, n = _write_decision(d, pdir, _drop_budget(cfg))
             manifest.commit(
                 PartitionRecord(
                     partition=key,
@@ -412,36 +462,12 @@ def run_export(
                     outputs=[pdir],
                 )
             )
-        if drop is not None:
-            bl = cfg.broadcast_limit
-            if bl is None:
-                from ..stages.exchange import broadcast_rows_budget
-
-                # drop ids are packed int64 broadcast ONCE via ray.put
-                # and probed zero-copy with searchsorted — per-node
-                # cost is 8 B × n in the store, no per-worker hash
-                # build, so the budget is far looser than the generic
-                # 16-B-object-row default (~94M ids on a 37.6 GB
-                # store vs 5M). The generic budget here sent a 60M-doc
-                # funnel's 6M quality drops down the acc_big anti-join
-                # path, which exchanges the TEXT-bearing corpus per
-                # later stage — measured: raylet spill past the 95%
-                # disk monitor on this VM. Truly huge drop sets
-                # (10^11 at the 10^12-doc tier) still take the
-                # anti-join.
-                bl = broadcast_rows_budget(bytes_per_row=8, fraction=0.02)
-            if n <= bl:
-                ids = np.concatenate(
-                    [
-                        b["node"].to_numpy()
-                        for b in drop.iter_batches(batch_format="pyarrow")
-                    ]
-                )
-                acc_ids.append(ids.astype(np.int64, copy=False))
-                _merged_ref[0] = None  # invalidate the broadcast cache
-            else:
-                acc_big.append((drop, n))
-            acc_n += n
+        if n and isinstance(drop, np.ndarray):
+            acc_ids.append(drop)
+            _merged_ref[0] = None  # invalidate the broadcast cache
+        elif n:
+            acc_big.append((drop, n))
+        acc_n += n
         report["stages"][name] = {
             "dropped": n,
             "seconds": round(time.perf_counter() - t0, 3),
@@ -460,8 +486,7 @@ def run_export(
                     {"node": g.filter(bad)[id_col].cast(pa.int64())}
                 )
 
-            d = base.map_batches(fail_ids, batch_format="pyarrow").materialize()
-            return d if d.count() else None
+            return base.map_batches(fail_ids, batch_format="pyarrow")
 
         decision("quality", quality_drops)
 
@@ -482,10 +507,9 @@ def run_export(
                     }
                 )
 
-            d = _loser_nodes(
+            return _loser_nodes(
                 base.map_batches(norm, batch_format="pyarrow"), "norm_url"
-            ).materialize()
-            return d if d.count() else None
+            )
 
         decision("url", url_drops)
 
@@ -513,10 +537,9 @@ def run_export(
                     {"node": t[id_col].cast(pa.int64()), "h": pa.array(h)}
                 )
 
-            d = _loser_nodes(
+            return _loser_nodes(
                 base.map_batches(add_hash, batch_format="pyarrow"), "h"
-            ).materialize()
-            return d if d.count() else None
+            )
 
         decision("exact", exact_drops)
 
@@ -526,16 +549,13 @@ def run_export(
             from ..stages.dedup import decontaminate
 
             base = filtered([id_col, text_col])
-            d = decontaminate(
+            return decontaminate(
                 base,
                 list(cfg.decontaminate_texts),
                 text_col,
                 id_col,
                 n=cfg.decontaminate_n,
-            ).map_batches(
-                lambda t: t.select(["node"]), batch_format="pyarrow"
-            ).materialize()
-            return d if d.count() else None
+            ).map_batches(lambda t: t.select(["node"]), batch_format="pyarrow")
 
         decision("decontaminate", decon_drops)
 
@@ -620,10 +640,9 @@ def run_export(
                 member, _ = sorted_lookup(ray.get(kref), ids)
                 return pa.table({"node": pa.array(ids[~member], pa.int64())})
 
-            d = w.select_columns([id_col]).map_batches(
+            return w.select_columns([id_col]).map_batches(
                 not_kept, batch_format="pyarrow"
-            ).materialize()
-            return d if d.count() else None
+            )
 
         decision("dsir", dsir_drops)
 
@@ -676,8 +695,7 @@ def run_export(
                     {"node": t["id"].filter(pa.array(~m)).cast(pa.int64())}
                 )
 
-            d = sl.map_batches(over_budget, batch_format="pyarrow").materialize()
-            return d if d.count() else None
+            return sl.map_batches(over_budget, batch_format="pyarrow")
 
         decision("token_budget", budget_drops)
 
@@ -755,17 +773,26 @@ def run_export(
     report["rows_out"] = n_out
     report["rows_dropped"] = acc_n
 
-    if cfg.pii_redact and n_out:  # totals from the output's slim columns
-        pii = rd.read_parquet(
-            corpus_dir, columns=["n_emails", "n_phones", "n_ips"]
-        ).sum(["n_emails", "n_phones", "n_ips"])
-        report["pii"] = {
-            "emails": int(pii["sum(n_emails)"]),
-            "phones": int(pii["sum(n_phones)"]),
-            "ips": int(pii["sum(n_ips)"]),
-        }
-    elif cfg.pii_redact:  # empty corpus: Dataset.sum returns None
-        report["pii"] = {"emails": 0, "phones": 0, "ips": 0}
+    if cfg.pii_redact:  # totals from the output's slim columns
+        from ..stages.blocks import arrow_block_refs
+
+        pii_cols = ["n_emails", "n_phones", "n_ips"]
+        totals = dict.fromkeys(pii_cols, 0)
+        if n_out:
+            # one map emitting per-block sums, added up on the driver:
+            # Dataset.sum would run an all-to-all Aggregate plus a
+            # limit=1 plan
+            def block_sums(t: pa.Table) -> pa.Table:
+                return pa.table({c: [pc.sum(t[c]).as_py() or 0] for c in pii_cols})
+
+            sums = rd.read_parquet(corpus_dir, columns=pii_cols).map_batches(
+                block_sums, batch_format="pyarrow"
+            )
+            for t in ray.get(arrow_block_refs(sums)):
+                for c in pii_cols:
+                    if c in t.column_names:
+                        totals[c] += pc.sum(t[c]).as_py() or 0
+        report["pii"] = {k: int(totals[f"n_{k}"]) for k in ("emails", "phones", "ips")}
 
     if cfg.pack_chunk_tokens is not None:
         chunks_dir = os.path.join(out_dir, "chunks")

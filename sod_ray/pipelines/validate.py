@@ -246,7 +246,11 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
     def combine(group: pa.Table) -> pa.Table:
         """Level-1 (salted) merge: fold a group's partial rows into ONE
         partial row of the same shape — associative, so it can run
-        per salt bucket before the final merge."""
+        per salt bucket before the final merge. Welford and quantile
+        partials fold in the order of their serialized bytes (as in
+        ``stats.merge_sketch_group``), not the order the shuffle
+        delivers them, so ``combine`` and ``merge`` give the same row
+        for any block layout or task timing."""
         hll = HyperLogLog()
         for b in group["url_hll"].to_pylist():
             hll.merge(HyperLogLog.from_bytes(b))
@@ -271,9 +275,9 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         for c in stat_cols:
             wf = Welford()
             td = new_quantile_sketch(qs_kind)
-            for b in group[f"wf_{c}"].to_pylist():
+            for b in sorted(group[f"wf_{c}"].to_pylist()):
                 wf.merge(Welford.from_bytes(b))
-            for b in group[f"td_{c}"].to_pylist():
+            for b in sorted(group[f"td_{c}"].to_pylist()):
                 td.merge(quantile_sketch_from_bytes(b))
             t[f"wf_{c}"] = pa.array([wf.to_bytes()], pa.binary())
             t[f"td_{c}"] = pa.array([td.to_bytes()], pa.binary())
@@ -297,10 +301,10 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         for c in stat_cols:
             wf = Welford()
             td = new_quantile_sketch(qs_kind)
-            for b in group[f"wf_{c}"].to_pylist():
+            for b in sorted(group[f"wf_{c}"].to_pylist()):
                 wf.merge(Welford.from_bytes(b))
                 sketch_bytes += len(b)
-            for b in group[f"td_{c}"].to_pylist():
+            for b in sorted(group[f"td_{c}"].to_pylist()):
                 td.merge(quantile_sketch_from_bytes(b))
                 sketch_bytes += len(b)
             r = wf.result()

@@ -70,3 +70,16 @@ def arrow_block_refs_with_rows(ds) -> tuple[list, int | None, pa.Schema | None]:
         for br in bundle.block_refs:
             out.append(br if zero_copy else _to_arrow_block.remote(br))
     return out, total, schema if isinstance(schema, pa.Schema) else None
+
+
+def dataset_from_refs(refs: list):
+    """``rd.from_arrow_refs(refs)`` with its plan marked executed. Ray
+    returns a MaterializedDataset whose plan is NOT marked computed, so
+    every later read of it (``iter_internal_ref_bundles``, a
+    ``map_batches`` consumer, ``count``) launches one more, empty
+    InputDataBuffer-only streaming execution; ``.materialize()`` on it
+    runs none and marks the plan computed. Every raw-task stage returns
+    its output blocks through here."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(refs).materialize()

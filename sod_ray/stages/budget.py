@@ -207,7 +207,7 @@ def pack_chunks(
     import ray
     import ray.data as rd
 
-    from .blocks import arrow_block_refs
+    from .blocks import arrow_block_refs, dataset_from_refs
 
     out_schema = pa.schema(
         [
@@ -287,7 +287,7 @@ def pack_chunks(
         cols["chunk_offset"] = pa.array(prev % B)
         return pa.table(cols)
 
-    return rd.from_arrow_refs(
+    return dataset_from_refs(
         [finalize.remote(r, block_offsets[i]) for i, r in enumerate(refs)]
     )
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs, dataset_from_refs
 from .exchange import sorted_lookup
 
 
@@ -374,4 +374,4 @@ def connected_components_bucketed(
             )
         )
     tables = [_mapping_to_table.remote(fp) for fp in final]
-    return rd.from_arrow_refs(tables)
+    return dataset_from_refs(tables)

@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..state.sketches import HyperLogLog, hash64
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs, dataset_from_refs
 
 # per-worker-process cache of broadcast-probe hash indexes, keyed by
 # the parent key set's object ref (see _broadcast_membership)
@@ -528,8 +528,6 @@ def bucketed_anti_join(
     dangling — same outcome as the broadcast path with a non-null
     parent. The child's columns and their types are unchanged.
     ``num_buckets=None`` sizes the fan-out to the data."""
-    import ray.data as rd
-
     from .joins import bucketed_equi_join
 
     def child_key(t: pa.Table) -> pa.Table:
@@ -559,7 +557,7 @@ def bucketed_anti_join(
         num_buckets=num_buckets,
         join_type="left anti",
     )
-    return rd.from_arrow_refs([drop_key.remote(r) for r in arrow_block_refs(joined)])
+    return dataset_from_refs([drop_key.remote(r) for r in arrow_block_refs(joined)])
 
 
 def referential_check(

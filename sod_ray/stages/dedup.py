@@ -43,6 +43,7 @@ from .exchange import (
     sorted_lookup,
 )
 from .joins import bucketed_equi_join
+from .textstage import split_whitespace
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _BK_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -358,27 +359,40 @@ def exact_dedup(
 # ---------------------------------------------------------------------------
 
 
-def _token_ids(texts: list[str | None]) -> list[np.ndarray]:
-    """Whitespace tokens → stable 64-bit ids per doc, fully vectorized:
-    Arrow ``utf8_split_whitespace`` → flatten → one ``hash64`` over the
-    whole batch's flat token array → slice back per doc via offsets.
-    Boundary whitespace yields empty tokens in Arrow (unlike
-    ``str.split()``) — filtered to keep tokenization identical."""
-    arr = pa.array(texts, pa.string())
-    toks = pc.utf8_split_whitespace(arr)
+def _flat_token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Whitespace tokens → stable 64-bit ids, fully vectorized:
+    ``textstage.split_whitespace`` → flatten → one ``hash64`` over the
+    whole batch's flat token array. Returns (flat uint64 ids in doc order,
+    per-doc int64 token counts). ``texts`` is a list of str/None or an
+    Arrow string column. Boundary whitespace yields empty tokens in
+    Arrow (unlike ``str.split()``) — filtered to keep tokenization
+    identical."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    if isinstance(texts, pa.Array):
+        arr = texts.cast(pa.string())
+    else:
+        arr = pa.array(texts, pa.string())
+    toks = split_whitespace(arr)
     lengths = pc.fill_null(pc.list_value_length(toks), 0).to_numpy(
         zero_copy_only=False
     )
     flat = pc.list_flatten(toks)
     if len(flat) == 0:
-        return [np.empty(0, dtype=np.uint64) for _ in texts]
+        return np.empty(0, dtype=np.uint64), np.zeros(len(arr), dtype=np.int64)
     nonempty = pc.not_equal(flat, pa.scalar("", pa.string()))
     nonempty_np = nonempty.to_numpy(zero_copy_only=False)
-    doc_idx = np.repeat(np.arange(len(texts)), lengths)[nonempty_np]
+    doc_idx = np.repeat(np.arange(len(arr)), lengths)[nonempty_np]
     ids = hash64(flat.filter(nonempty))
-    counts = np.bincount(doc_idx, minlength=len(texts))
+    return ids, np.bincount(doc_idx, minlength=len(arr)).astype(np.int64)
+
+
+def _token_ids(texts: list[str | None]) -> list[np.ndarray]:
+    """Per-doc token-id arrays: :func:`_flat_token_ids` sliced back per
+    doc via offsets."""
+    ids, counts = _flat_token_ids(texts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return [ids[offsets[i] : offsets[i + 1]] for i in range(len(texts))]
+    return [ids[offsets[i] : offsets[i + 1]] for i in range(len(counts))]
 
 
 def _shingle_hashes(token_ids: np.ndarray, k: int) -> np.ndarray:
@@ -402,32 +416,67 @@ def _minhash_perms(n_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _flat_shingles(
+    ids: np.ndarray, counts: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-token shingle hashes of a whole batch at once: one polynomial
+    sliding window over the flat token-id array (the combine of
+    :func:`_shingle_hashes`), keeping only the windows that start and
+    end in one doc. A doc with 0 < n < k tokens keeps its first token
+    id as its one shingle, as :func:`_shingle_hashes` does. Shingles
+    are NOT de-duplicated (a repeated shingle cannot change a minimum).
+    Returns (flat shingle hashes in doc order, per-doc shingle
+    counts)."""
+    n = ids.shape[0]
+    pos = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    full = np.repeat(counts, counts) - pos >= k  # a whole k-window starts here
+    sel = full | ((pos == 0) & ~full)  # a short doc keeps its first token
+    vals = ids.copy()
+    m = n - k + 1
+    if m > 0:
+        base = np.uint64(1099511628211)  # FNV prime
+        h = np.zeros(m, dtype=np.uint64)
+        for j in range(k):
+            h *= base
+            h += ids[j : j + m]  # uint64 wraparound is the mixing
+        np.copyto(vals[:m], h, where=full[:m])
+    lengths = np.where(counts >= k, counts - k + 1, np.minimum(counts, 1))
+    return vals[sel], lengths
+
+
 def minhash_signatures(
-    texts: list[str | None],
+    texts,
     n_perm: int = 64,
     shingle_k: int = 3,
     seed: int = 1337,
 ) -> np.ndarray:
-    """(n_docs, n_perm) uint64 MinHash signature matrix for a batch.
+    """(n_docs, n_perm) uint64 MinHash signature matrix for a batch
+    (``texts``: a list of str/None or an Arrow string column).
 
-    Per-permutation work is one vectorized pass over ALL shingles in the
-    batch (np.minimum.reduceat over doc boundaries) — no per-doc Python
-    loop in the permutation hot path."""
-    token_ids = _token_ids(texts)
-    shingles = [_shingle_hashes(t, shingle_k) for t in token_ids]
-    lengths = np.array([s.shape[0] for s in shingles], dtype=np.int64)
-    sig = np.full((len(texts), n_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
+    No per-doc Python loop: the k-shingles of every doc come from one
+    sliding window over the batch's flat token-id array
+    (:func:`_flat_shingles`), and each permutation is one vectorized
+    hash pass over all shingles into preallocated buffers plus one
+    ``np.minimum.reduceat`` over doc boundaries. A doc with no token
+    keeps the all-max row."""
+    ids, counts = _flat_token_ids(texts)
+    sh, lengths = _flat_shingles(ids, counts, shingle_k)
+    sig = np.full((len(counts), n_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
     nonempty = lengths > 0
     if not nonempty.any():
         return sig
-    allsh = np.concatenate([s for s in shingles if s.shape[0]])
     starts = np.zeros(int(nonempty.sum()), dtype=np.int64)
     np.cumsum(lengths[nonempty][:-1], out=starts[1:])
     a, b = _minhash_perms(n_perm, seed)
-    masked = allsh & _MERSENNE
+    masked = sh & _MERSENNE
+    hp = np.empty_like(masked)
+    mins = np.empty((n_perm, starts.shape[0]), dtype=np.uint64)
     for p in range(n_perm):
-        hp = (a[p] * masked + b[p]) & _MERSENNE  # cheap universal hash
-        sig[nonempty, p] = np.minimum.reduceat(hp, starts)
+        np.multiply(masked, a[p], out=hp)  # cheap universal hash
+        hp += b[p]
+        hp &= _MERSENNE
+        np.minimum.reduceat(hp, starts, out=mins[p])
+    sig[nonempty] = mins.T
     return sig
 
 
@@ -520,8 +569,7 @@ def _sig_rows(text_col: str, id_col: str, n_perm: int, shingle_k: int, seed: int
     doc's signature as n_perm uint64s."""
 
     def encode(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        sig = minhash_signatures(texts, n_perm, shingle_k, seed)
+        sig = minhash_signatures(batch[text_col], n_perm, shingle_k, seed)
         return _payload_rows(batch[id_col], sig)
 
     return encode
@@ -623,8 +671,10 @@ def _candidate_pairs(band_rows, max_bucket_size, pair_emission, spill=None):
     shared ``_bucket_pairs`` kernel, whose count rule here covers the
     three emission shapes (triangle = full per-row counts, star =
     counts only on run heads, oversize chain = count 1/row); the pair
-    dedup is ``_pair_runs``. Returns the (small) distinct pair Dataset,
-    materialized before the verify joins.
+    dedup is ``_pair_runs``. Returns the (small) distinct pair Dataset
+    as ``exchange_reduce`` leaves it: the reduce tasks' output blocks,
+    already executed, so the verify joins read them without another
+    Ray Data execution.
 
     ``spill``: the candidate-emission exchange runs disk-backed (the
     10⁹-doc tier, where the pruned band rows exceed the object store)
@@ -641,8 +691,7 @@ def _candidate_pairs(band_rows, max_bucket_size, pair_emission, spill=None):
     if spill is not None:
         spill.free("pruned")  # the exchange landing was its last read
 
-    # land the (small) distinct pair list before the verify joins
-    return exchange_reduce(cand, "pk", _pair_runs).materialize()
+    return exchange_reduce(cand, "pk", _pair_runs)
 
 
 def _repeated_keys(t: pa.Table) -> pa.Table:

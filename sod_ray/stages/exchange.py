@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import ray
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs, dataset_from_refs
 
 
 def _default_buckets() -> int:
@@ -327,7 +327,7 @@ def exchange_reduce(
             outs.extend(ph_outs)
         if not outs:
             return rd.from_arrow(fn(pa.table({})))
-        return rd.from_arrow_refs(outs)
+        return dataset_from_refs(outs)
 
     from .blocks import arrow_block_refs_with_rows
 
@@ -355,7 +355,5 @@ def exchange_reduce(
             _reduce_bucket.remote(fn, *[s[p] for s in splits])
             for p in range(P)
         ]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(outs)
+    return dataset_from_refs(outs)
 

@@ -36,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .blocks import arrow_block_refs_with_rows
+from .blocks import arrow_block_refs_with_rows, dataset_from_refs
 
 
 def asof_join(
@@ -563,7 +563,6 @@ def bucketed_equi_join(
     of each side). ``spill.phases`` does not apply to joins.
     """
     import ray
-    import ray.data as rd
 
     if spill is not None:
         import os
@@ -619,7 +618,7 @@ def bucketed_equi_join(
 
         outs = [join_dir.remote(p) for p in range(P)]
         spill.free_after(outs, "join_l", "join_r")
-        return rd.from_arrow_refs(outs)
+        return dataset_from_refs(outs)
 
     # the schemas ride the RefBundles; ``ds.schema()`` would run each
     # lazy side once more as a separate limit-1 plan
@@ -667,7 +666,7 @@ def bucketed_equi_join(
 
     if P == 1:
         # one bucket == everything: join the raw blocks in one task
-        return rd.from_arrow_refs(
+        return dataset_from_refs(
             [join_bucket.remote(len(left_refs), *left_refs, *right_refs)]
         )
     left_splits = [
@@ -684,5 +683,5 @@ def bucketed_equi_join(
         )
         for p in range(P)
     ]
-    return rd.from_arrow_refs(buckets)
+    return dataset_from_refs(buckets)
 

@@ -125,6 +125,24 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
+def split_whitespace(arr):
+    """``pc.utf8_split_whitespace`` without its end-of-string misread
+    (pyarrow 16): for a string ending in whitespace the forward split
+    reads the byte AFTER the string, and when that byte does not start
+    valid UTF-8 (a stray byte ≥ 0x80 past the data buffer's logical end,
+    so only an array's last string) it keeps the trailing whitespace in
+    the last token ("w3 " instead of "w3"): the batch's last doc then
+    tokenizes by whatever memory follows it. Right-trimming first gives
+    the tokens of a correct split minus the empty trailing ones, which
+    every caller drops anyway."""
+    return pc.utf8_split_whitespace(pc.utf8_rtrim_whitespace(arr))
+
+
+# rows × bigram-key range at or past which gopher_stats_batch densifies
+# its bigram codes first (the packed (doc, bigram) key stays in int64)
+_BIGRAM_KEY_LIMIT = 1 << 63
+
+
 def gopher_stats_batch(
     batch: pa.Table, text_col: str = "text", id_col: str = "doc_id"
 ) -> pa.Table:
@@ -133,16 +151,22 @@ def gopher_stats_batch(
     repetition fractions (occurrence-fraction variants of Gopher's
     top-n-gram filters), plus the combined pass flag. Entirely per-doc
     → pure ``map_batches``, no shuffle; vectorized via Arrow whitespace
-    split + dictionary-encode and numpy bincount/unique/lexsort (no
-    Python loop over rows or tokens).
+    split + dictionary-encode and numpy bincount/unique (no Python loop
+    over rows or tokens).
+
+    Counting keys are packed int64s, counted with one sort each:
+    (doc, word code) for 1-grams and (doc, code, next code) for 2-grams.
+    The 2-gram key needs rows × vocab² < 2^63; a batch past that first
+    maps (code, next code) to a dense bigram code (``_BIGRAM_KEY_LIMIT``).
+    Every factor is then below the batch's row or token count, so no
+    key can overflow int64 while both stay under 3·10^9 — far past any
+    batch that fits in memory (3·10^9 tokens is 24 GB of int64 codes).
 
     Tokenization note: splits on UNICODE whitespace; the DuckDB oracle
     twin's RE2 ``\\S+`` is ASCII-only. Identical on ASCII corpora (all
     testdata); exotic whitespace (U+00A0 etc.) joins two SQL tokens
     into one."""
-    words = pc.utf8_split_whitespace(
-        pc.fill_null(batch[text_col].combine_chunks(), "")
-    )
+    words = split_whitespace(pc.fill_null(batch[text_col].combine_chunks(), ""))
     flat = pc.list_flatten(words)
     per_doc = pc.list_value_length(words).to_numpy().astype(np.int64)
     wl = pc.utf8_length(flat).to_numpy().astype(np.int64)
@@ -162,21 +186,17 @@ def gopher_stats_batch(
         vocab = int(codes.max()) + 1
         uk, cnt = np.unique(doc_idx * vocab + codes, return_counts=True)
         np.maximum.at(top, uk // vocab, cnt)
-        # top 2-gram count per doc: consecutive same-doc token pairs,
-        # run-length counted after a lexsort (no vocab^2 key overflow)
+        # top 2-gram count per doc over consecutive same-doc token pairs
         same = doc_idx[1:] == doc_idx[:-1]
         if same.any():
             bd = doc_idx[:-1][same]
-            b1 = codes[:-1][same]
-            b2 = codes[1:][same]
-            order = np.lexsort((b2, b1, bd))
-            bd, b1, b2 = bd[order], b1[order], b2[order]
-            new = np.concatenate(
-                ([True],
-                 (bd[1:] != bd[:-1]) | (b1[1:] != b1[:-1]) | (b2[1:] != b2[:-1]))
-            )
-            cnt2 = np.bincount(np.cumsum(new) - 1)
-            np.maximum.at(top2, bd[new], cnt2)
+            bg = codes[:-1][same] * vocab + codes[1:][same]
+            nb = vocab * vocab
+            if n * nb >= _BIGRAM_KEY_LIMIT:
+                big, bg = np.unique(bg, return_inverse=True)
+                bg, nb = bg.reshape(-1), big.shape[0]
+            uk2, cnt2 = np.unique(bd * nb + bg, return_counts=True)
+            np.maximum.at(top2, uk2 // nb, cnt2)
     has = wc > 0
     denom = np.maximum(wc, 1).astype(np.float64)
     mwl = np.where(has, csum / denom, np.nan)

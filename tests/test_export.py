@@ -167,6 +167,38 @@ def test_export_bucketed_drop_path(ray_session, tmp_path):
     )
 
 
+def test_run_export_execution_budget(ray_session, tmp_path, monkeypatch):
+    """One near-dup export of the planted corpus (quality, exact and
+    near-dup decisions, the apply write, the PII totals) launches at
+    most 13 Ray Data executions (streaming-executor runs, counted by
+    patching ``StreamingExecutor.execute`` as perfbench's tracer does).
+    Each broadcast-size decision's one execution is its compute; the
+    count is deterministic for one input and session size, so a new
+    execution in the funnel fails here without timing noise."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    inp = _mk_corpus(str(tmp_path))
+    execute = StreamingExecutor.execute
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return execute(self, *args, **kw)
+
+    cfg = CurateConfig(neardup=True, partition_col="lang")
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = run_export(inp, os.path.join(str(tmp_path), "oute"), cfg, resume=False)
+    n_exec = len(calls)
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    rep = res.report
+    assert rep["stages"]["quality"]["dropped"] == 2
+    assert rep["stages"]["exact"]["dropped"] == 4
+    assert rep["rows_out"] == len(pq.read_table(res.corpus_dir))
+    assert n_exec <= 13  # 20 when each decision wrote and re-read its ids
+
+
 def test_export_rejects_config_change_on_resume(ray_session, tmp_path):
     inp = _mk_corpus(str(tmp_path))
     out = os.path.join(str(tmp_path), "outc")

@@ -672,3 +672,27 @@ def test_full_run_kll_backend(ray_session, web_dir, tmp_path):
     st = pq.read_table(sp).to_pandas()
     assert len(st)
     assert isinstance(quantile_sketch_from_bytes(st["tdigest"].iloc[0]), KLL)
+
+
+def test_check_oracles_keeps_empty_dataset_columns(ray_session):
+    """The oracle harness's ``to_pandas`` keeps the columns of an empty
+    typed Dataset (``Dataset.to_pandas()`` drops 0-row blocks and with
+    them every column, so an empty query result would fail the column
+    compare) and still concatenates non-empty blocks."""
+    import importlib.util
+
+    import ray.data as rd
+
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "check_oracles.py")
+    spec = importlib.util.spec_from_file_location("check_oracles", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+
+    empty = pa.table(
+        {"id_a": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
+    )
+    df = mod.to_pandas(rd.from_arrow(empty))
+    assert list(df.columns) == ["id_a", "score"] and len(df) == 0
+    rows = pa.table({"id_a": pa.array([1, 2], pa.int64()), "score": [0.5, 1.0]})
+    df = mod.to_pandas(rd.from_arrow([empty, rows]))
+    assert df.to_dict("list") == {"id_a": [1, 2], "score": [0.5, 1.0]}

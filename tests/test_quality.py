@@ -84,6 +84,87 @@ def test_gopher_null_text():
     assert out.word_count[0] == 0 and not out.quality_pass[0]
 
 
+def _top_bigram_frac_ref(texts) -> np.ndarray:
+    """The lexsort path ``gopher_stats_batch`` used to count 2-grams
+    with, on ``str.split()`` tokens: consecutive same-doc token pairs
+    run-length counted after one 3-key lexsort, top count per doc over
+    its (word count - 1) bigrams, NaN below two words."""
+    toks = [t.split() if t else [] for t in texts]
+    n = len(texts)
+    wc = np.array([len(x) for x in toks], np.int64)
+    doc_idx = np.repeat(np.arange(n, dtype=np.int64), wc)
+    flat = [w for x in toks for w in x]
+    codes = np.unique(flat, return_inverse=True)[1].astype(np.int64) if flat else doc_idx
+    top2 = np.zeros(n, np.int64)
+    same = doc_idx[1:] == doc_idx[:-1]
+    if same.any():
+        bd, b1, b2 = doc_idx[:-1][same], codes[:-1][same], codes[1:][same]
+        order = np.lexsort((b2, b1, bd))
+        bd, b1, b2 = bd[order], b1[order], b2[order]
+        new = np.concatenate(
+            ([True],
+             (bd[1:] != bd[:-1]) | (b1[1:] != b1[:-1]) | (b2[1:] != b2[:-1]))
+        )
+        cnt2 = np.bincount(np.cumsum(new) - 1)
+        np.maximum.at(top2, bd[new], cnt2)
+    nbig = np.maximum(wc - 1, 0)
+    return np.where(nbig > 0, top2 / np.maximum(nbig, 1), np.nan)
+
+
+def test_gopher_bigrams_match_lexsort_reference(monkeypatch):
+    """The packed-key 2-gram counts equal the lexsort reference on edge
+    texts and random batches, and the dense-bigram-code branch (taken
+    when rows × vocab² would leave int64) gives the same table."""
+    from sod_ray.stages import textstage
+    from test_dedup import EDGE_TEXTS, random_texts
+
+    rng = np.random.default_rng(23)
+    for texts in (EDGE_TEXTS, random_texts(rng, 400), [None], ["solo"]):
+        t = pa.table(
+            {
+                "doc_id": pa.array(np.arange(len(texts)), pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        )
+        out = gopher_stats_batch(t)
+        np.testing.assert_array_equal(
+            out["top_bigram_frac"].to_numpy(), _top_bigram_frac_ref(texts)
+        )
+        assert out["word_count"].to_pylist() == [
+            len(x.split()) if x else 0 for x in texts
+        ]
+        monkeypatch.setattr(textstage, "_BIGRAM_KEY_LIMIT", 0)
+        pd.testing.assert_frame_equal(
+            gopher_stats_batch(t).to_pandas(), out.to_pandas(), check_exact=True
+        )
+        monkeypatch.undo()
+
+
+def test_tokens_ignore_bytes_past_the_last_doc():
+    """The last doc of a batch tokenizes the same whatever lies past its
+    array's data buffer: pyarrow's ``utf8_split_whitespace`` alone reads
+    the byte after a string that ends in whitespace and, when that byte
+    is not valid UTF-8 (any stray byte ≥ 0x80), kept the trailing space
+    in the last token ("w3 "), so the MinHash signature and the Gopher
+    word lengths of a batch's last doc depended on memory."""
+    from sod_ray.stages.dedup import minhash_signatures
+
+    texts = ["a b", "w1 w2 w3 "]
+    data = "".join(texts).encode()
+    offsets = np.array([0, 3, len(data)], np.int32)
+    stray = pa.StringArray.from_buffers(
+        2, pa.py_buffer(offsets.tobytes()), pa.py_buffer(data + b"\x80")
+    )
+    assert stray.to_pylist() == texts
+    assert np.array_equal(
+        minhash_signatures(stray, 16, 1), minhash_signatures(texts, 16, 1)
+    )
+    g = gopher_stats_batch(
+        pa.table({"doc_id": pa.array([0, 1], pa.int64()), "text": stray})
+    )
+    assert g["mean_word_len"].to_pylist() == [1.0, 2.0]
+
+
 def _line_dedup_ref(docs: dict[int, str]) -> dict[int, str]:
     """Brute-force reference: global first-occurrence line dedup.
     Empty lines are structural (paragraph separators) and exempt —

@@ -601,6 +601,46 @@ def test_sketch_merge_fold_order_is_canonical(quantile_sketch):
     assert all(o.equals(outs[0]) for o in outs)
 
 
+@pytest.mark.parametrize("merge_salt", [1, 8])
+def test_combined_partials_merge_block_order_invariant(ray_session, merge_salt):
+    """The flagship's combined partial+merge gives byte-identical stats
+    rows, sketch bytes included, when the same featured rows arrive in
+    another block order. Each 8192-row block is one partial batch, so
+    only the fold order of the partials differs between the runs."""
+    import ray.data as rd
+
+    from sod_ray.pipelines.validate import ValidateConfig, _combined_partials_merge
+
+    rng = np.random.default_rng(11)
+    blocks = []
+    for b, scale in enumerate((1.0, 4.0, 20.0, 90.0, 300.0, 7.0)):
+        n = 8192
+        blocks.append(
+            pa.table(
+                {
+                    "lang": pa.array(np.where(np.arange(n) % 4 == 0, "de", "en")),
+                    "url": pa.array([f"http://h{b}.org/{i}" for i in range(n)]),
+                    "html_null": pa.array(rng.random(n) < 0.01),
+                    "text_null": pa.array(rng.random(n) < 0.01),
+                    "extract_match": pa.array(rng.random(n) < 0.5),
+                    "n_chars": pa.array(rng.gamma(2.0, scale, n)),
+                    "n_tokens": pa.array(rng.gamma(1.5, scale / 5, n)),
+                }
+            )
+        )
+    cfg = ValidateConfig(merge_salt=merge_salt)
+
+    def merged(order):
+        ds = rd.from_arrow([blocks[i] for i in order])
+        t = _combined_partials_merge(ds, cfg).to_pandas()
+        return t.sort_values(["part_key", "column"]).reset_index(drop=True)
+
+    a = merged([0, 1, 2, 3, 4, 5])
+    b = merged([5, 3, 1, 4, 0, 2])
+    assert len(a) == 4
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
+
+
 def test_kll_column_quantiles_stage(ray_session):
     import ray.data as rd
 

@@ -20,11 +20,26 @@ TABLES = [
 
 
 def to_pandas(res):
+    """A query result as a pandas frame. A Dataset converts through its
+    Arrow blocks: ``Dataset.to_pandas()`` drops 0-row blocks, so an
+    empty typed result would lose every column. With no row anywhere,
+    the frame takes its columns from a typed block, else from the
+    Dataset's schema."""
     import pyarrow as pa
+    import ray
     import ray.data
 
     if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
+        from sod_ray.stages.blocks import arrow_block_refs
+
+        tables = [t for t in ray.get(arrow_block_refs(res)) if t.num_columns]
+        full = [t for t in tables if t.num_rows] or tables[:1]
+        if full:
+            return pa.concat_tables(full, promote_options="default").to_pandas()
+        schema = getattr(res.schema(), "base_schema", None)
+        if isinstance(schema, pa.Schema):
+            return schema.empty_table().to_pandas()
+        return pd.DataFrame()
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res
