@@ -319,6 +319,23 @@ def _input_signature(input_path: str) -> dict:
     }
 
 
+def _pack_token_rows(
+    t: pa.Table, id_col: str, text_col: str, partition_col: str | None
+) -> pa.Table:
+    """``pack_chunks`` input rows of a corpus batch: (id, n_tokens
+    [, partition]), n_tokens counting the doc's ``textstage.tokens``."""
+    from ..stages.textstage import tokens
+
+    n_tokens = np.bincount(tokens(t[text_col])[1], minlength=t.num_rows)
+    out = {
+        id_col: t[id_col].cast(pa.int64()),
+        "n_tokens": pa.array(n_tokens, pa.int64()),
+    }
+    if partition_col:
+        out[partition_col] = t[partition_col].cast(pa.string())
+    return pa.table(out)
+
+
 def run_export(
     input_path: str,
     out_dir: str,
@@ -810,23 +827,13 @@ def run_export(
             shutil.rmtree(chunks_dir, ignore_errors=True)
             if n_out:
                 base = rd.read_parquet(corpus_dir, columns=cols)
-
-                def slim_tok(t: pa.Table) -> pa.Table:
-                    toks = pc.list_value_length(
-                        pc.utf8_split_whitespace(t[text_col].combine_chunks())
-                    )
-                    out = {
-                        id_col: t[id_col].cast(pa.int64()),
-                        "n_tokens": toks.cast(pa.int64()),
-                    }
-                    if cfg.partition_col:
-                        out[cfg.partition_col] = t[cfg.partition_col].cast(
-                            pa.string()
-                        )
-                    return pa.table(out)
-
+                slim = base.map_batches(
+                    _pack_token_rows,
+                    fn_args=(id_col, text_col, cfg.partition_col),
+                    batch_format="pyarrow",
+                )
                 spans = pack_chunks(
-                    base.map_batches(slim_tok, batch_format="pyarrow"),
+                    slim,
                     cfg.pack_chunk_tokens,
                     key_col=cfg.partition_col,
                     id_col=id_col,

@@ -16,6 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.textstage import tokens
+
 
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
@@ -1026,19 +1028,12 @@ def _exact_token_topk(ds, k: int, lower: bool = False):
     Driver state is O(blocks·k), never O(vocab) — on a web corpus the
     vocab is ~10^8 rows, which must not land on the driver.
 
-    Tokens are whitespace-split with empty strings filtered, matching
-    the SQL twins' RE2 ``\\S+`` (Arrow ``utf8_split_whitespace`` emits
-    '' at leading/trailing/repeated whitespace; ``\\S+`` never does).
-    Returns a pandas frame with columns (token, n) sorted by
-    (n DESC, token ASC)."""
+    Tokens come from ``textstage.tokens``. Returns a pandas frame with
+    columns (token, n) sorted by (n DESC, token ASC)."""
     from ray.data.aggregate import Sum
 
     def partial_counts(t: pa.Table) -> pa.Table:
-        txt = t["text"].combine_chunks()
-        if lower:
-            txt = pc.utf8_lower(pc.fill_null(txt, ""))
-        toks = pc.list_flatten(pc.utf8_split_whitespace(txt))
-        toks = toks.filter(pc.not_equal(toks, ""))
+        toks = tokens(t["text"], lower)[0]
         if len(toks) == 0:
             return pa.table(
                 {"token": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
@@ -2974,6 +2969,34 @@ FROM lagg l JOIN pagg p ON l.doc_id = p.doc_id
 """
 
 
+def _tf_rows(t: pa.Table) -> pa.Table:
+    """(doc_id, term, tf) rows of a documents batch: lowercased
+    ``textstage.tokens`` terms counted per doc with one dictionary
+    encode + one ``np.unique`` over the packed (doc, code) key."""
+    flat, doc_idx = tokens(t["text"], lower=True)
+    if len(doc_idx) == 0:
+        return pa.table(
+            {
+                "doc_id": pa.array([], pa.int64()),
+                "term": pa.array([], pa.string()),
+                "tf": pa.array([], pa.int64()),
+            }
+        )
+    enc = pc.dictionary_encode(flat)
+    codes = enc.indices.to_numpy().astype(np.int64)
+    vocab = enc.dictionary
+    uk, cnt = np.unique(doc_idx * len(vocab) + codes, return_counts=True)
+    return pa.table(
+        {
+            "doc_id": t["doc_id"].take(pa.array(uk // len(vocab))).cast(
+                pa.int64()
+            ),
+            "term": vocab.take(pa.array(uk % len(vocab))),
+            "tf": pa.array(cnt, pa.int64()),
+        }
+    )
+
+
 def doc_perplexity(sf_dir: str):
     """CCNet-style perplexity filtering (Wenzek et al. 2020, public),
     with the corpus's own add-one-smoothed UNIGRAM LM standing in for
@@ -2996,39 +3019,7 @@ def doc_perplexity(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def tf_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_lower(pc.fill_null(t["text"].combine_chunks(), ""))
-        words = pc.utf8_split_whitespace(txt)
-        flat = pc.list_flatten(words)
-        per_doc = pc.list_value_length(words).to_numpy().astype(np.int64)
-        doc_idx = np.repeat(np.arange(len(t), dtype=np.int64), per_doc)
-        keep = pc.utf8_length(flat).to_numpy().astype(np.int64) > 0
-        if not keep.all():
-            doc_idx = doc_idx[keep]
-            flat = flat.filter(pa.array(keep))
-        if len(doc_idx) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "tf": pa.array([], pa.int64()),
-                }
-            )
-        enc = pc.dictionary_encode(flat)
-        codes = enc.indices.to_numpy().astype(np.int64)
-        vocab = enc.dictionary
-        uk, cnt = np.unique(doc_idx * len(vocab) + codes, return_counts=True)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].take(pa.array(uk // len(vocab))).cast(
-                    pa.int64()
-                ),
-                "term": vocab.take(pa.array(uk % len(vocab))),
-                "tf": pa.array(cnt, pa.int64()),
-            }
-        )
-
-    tf = ds.map_batches(tf_rows, batch_format="pyarrow").materialize()
+    tf = ds.map_batches(_tf_rows, batch_format="pyarrow").materialize()
     # materialized: sum(), count() and the join below would otherwise
     # each re-run the full term-count shuffle
     counts = tf.groupby("term").aggregate(Sum("tf", alias_name="n")).materialize()
@@ -3212,51 +3203,13 @@ def tfidf_top_terms(sf_dir: str, top_k: int = 3):
     ``bucketed_equi_join`` back onto the tf rows (vocab need not fit on
     the driver — no broadcast) → per-doc top-k by (score desc, term
     asc). Three shuffles total, all of slim token rows; text never
-    crosses the wire.
-
-    Tokenization note: the kernel splits on UNICODE whitespace
-    (utf8_split_whitespace); the SQL twin's RE2 ``\\S+`` is ASCII-only.
-    Identical on ASCII corpora (all testdata); a document joining two
-    tokens with e.g. U+00A0 would count them as one SQL token. Same
-    (pre-existing) convention as gopher_stats_batch."""
+    crosses the wire. Terms come from ``textstage.tokens``."""
     from ..stages.joins import bucketed_equi_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
 
-    def tf_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_lower(pc.fill_null(t["text"].combine_chunks(), ""))
-        words = pc.utf8_split_whitespace(txt)
-        flat = pc.list_flatten(words)
-        per_doc = pc.list_value_length(words).to_numpy().astype(np.int64)
-        doc_idx = np.repeat(np.arange(len(t), dtype=np.int64), per_doc)
-        keep = pc.utf8_length(flat).to_numpy().astype(np.int64) > 0
-        if not keep.all():
-            doc_idx = doc_idx[keep]
-            flat = flat.filter(pa.array(keep))
-        if len(doc_idx) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "tf": pa.array([], pa.int64()),
-                }
-            )
-        enc = pc.dictionary_encode(flat)
-        codes = enc.indices.to_numpy().astype(np.int64)
-        vocab = enc.dictionary
-        uk, cnt = np.unique(doc_idx * len(vocab) + codes, return_counts=True)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].take(pa.array(uk // len(vocab))).cast(
-                    pa.int64()
-                ),
-                "term": vocab.take(pa.array(uk % len(vocab))),
-                "tf": pa.array(cnt, pa.int64()),
-            }
-        )
-
-    tf = ds.map_batches(tf_rows, batch_format="pyarrow").materialize()
+    tf = ds.map_batches(_tf_rows, batch_format="pyarrow").materialize()
     df = tf.groupby("term").count()
 
     def idf_tbl(t: pa.Table) -> pa.Table:
@@ -3852,18 +3805,8 @@ def doc_bigram_perplexity(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def bigram_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_lower(pc.fill_null(t["text"].combine_chunks(), ""))
-        words = pc.utf8_split_whitespace(txt)
-        flat = pc.list_flatten(words)
-        per_doc = pc.list_value_length(words).to_numpy().astype(np.int64)
-        keep = pc.utf8_length(flat).to_numpy().astype(np.int64) > 0
-        doc_idx = np.repeat(np.arange(len(t), dtype=np.int64), per_doc)
-        if not keep.all():
-            doc_idx = doc_idx[keep]
-            flat = flat.filter(pa.array(keep))
-            per_doc = np.bincount(doc_idx, minlength=len(t)).astype(
-                np.int64
-            )
+        flat, doc_idx = tokens(t["text"], lower=True)
+        per_doc = np.bincount(doc_idx, minlength=len(t))
         T = len(flat)
         empty = pa.table(
             {
@@ -3877,11 +3820,7 @@ def doc_bigram_perplexity(sf_dir: str):
         bg = pc.binary_join_element_wise(
             flat.slice(0, T - 1), flat.slice(1, T - 1), " "
         )
-        ends = np.cumsum(per_doc)
-        bvalid = np.ones(T - 1, dtype=bool)
-        cut = ends[:-1] - 1
-        cut = cut[(cut >= 0) & (cut < T - 1)]
-        bvalid[cut] = False
+        bvalid = doc_idx[1:] == doc_idx[:-1]
         bg = bg.filter(pa.array(bvalid))
         bdoc = doc_idx[:-1][bvalid]
         if len(bg) == 0:
@@ -4222,6 +4161,18 @@ ORDER BY doc_id
 _BLOCKLIST = ("spark", "dup", "poison")
 
 
+def _blocklist_survivors(t: pa.Table) -> pa.Table:
+    """The doc ids of a documents batch with no blocklisted token."""
+    flat, doc_idx = tokens(t["text"])
+    bl = pa.array(list(_BLOCKLIST), pa.string())
+    hit = pc.is_in(flat, value_set=bl).to_numpy(zero_copy_only=False)
+    bad = np.zeros(len(t), dtype=bool)
+    bad[doc_idx[hit]] = True
+    return pa.table(
+        {"doc_id": t["doc_id"].filter(pa.array(~bad)).cast(pa.int64())}
+    )
+
+
 def docs_blocklist_checked(sf_dir: str):
     """Wordlist-based document filtering (the C4 'bad words list'
     component — C4 dropped any page containing a word from a public
@@ -4230,26 +4181,8 @@ def docs_blocklist_checked(sf_dir: str):
     against the (tiny) blocklist, per-doc any() via offsets — no
     shuffle. Output: the surviving doc ids."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    bl = pa.array(list(_BLOCKLIST), pa.string())
-
-    def per_batch(t: pa.Table) -> pa.Table:
-        toks = pc.utf8_split_whitespace(
-            pc.fill_null(t["text"].combine_chunks(), "")
-        )
-        flat = pc.list_flatten(toks)
-        n_per = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        hit = pc.is_in(flat, value_set=bl).to_numpy(
-            zero_copy_only=False
-        )
-        doc_idx = np.repeat(np.arange(len(t), dtype=np.int64), n_per)
-        bad = np.zeros(len(t), dtype=bool)
-        np.logical_or.at(bad, doc_idx, hit)
-        return pa.table(
-            {"doc_id": t["doc_id"].filter(pa.array(~bad)).cast(pa.int64())}
-        )
-
     out = (
-        ds.map_batches(per_batch, batch_format="pyarrow")
+        ds.map_batches(_blocklist_survivors, batch_format="pyarrow")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

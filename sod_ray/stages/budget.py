@@ -205,7 +205,6 @@ def pack_chunks(
     ``windowed_zscore_sorted``'s sorted-overlap (window.py), with a
     scalar carry instead of a row tail."""
     import ray
-    import ray.data as rd
 
     from .blocks import arrow_block_refs, dataset_from_refs
 
@@ -225,7 +224,7 @@ def pack_chunks(
     sorted_ds = sl.sort(sort_keys)
     refs = arrow_block_refs(sorted_ds)
     if not refs:
-        return rd.from_arrow(out_schema.empty_table())
+        return dataset_from_refs([ray.put(out_schema.empty_table())])
 
     def _keys_of(block: pa.Table) -> np.ndarray:
         if key_col:

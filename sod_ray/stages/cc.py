@@ -36,6 +36,10 @@ import ray
 from .blocks import arrow_block_refs, dataset_from_refs
 from .exchange import sorted_lookup
 
+_EMPTY_LABELS = pa.table(
+    {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
+)
+
 
 def _np_i64(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
@@ -237,8 +241,6 @@ def connected_components_bucketed(
     num_partitions: int | None = None,
 ):
     """See module docstring. Returns a Dataset of (node, label)."""
-    import ray.data as rd
-
     if num_partitions is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
         num_partitions = max(8, min(64, cpus))
@@ -251,11 +253,7 @@ def connected_components_bucketed(
         for r in arrow_block_refs(pairs_ds)
     ]
     if not edge_refs:
-        return rd.from_arrow(
-            pa.table(
-                {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
-            )
-        )
+        return dataset_from_refs([ray.put(_EMPTY_LABELS)])
 
     levels = []  # each: list of P label-piece refs, bucketed by node % P
     top = None  # final mapping of the highest level, bucketed by node % P
@@ -368,10 +366,6 @@ def connected_components_bucketed(
         ]
 
     if final is None:
-        return rd.from_arrow(
-            pa.table(
-                {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
-            )
-        )
+        return dataset_from_refs([ray.put(_EMPTY_LABELS)])
     tables = [_mapping_to_table.remote(fp) for fp in final]
     return dataset_from_refs(tables)

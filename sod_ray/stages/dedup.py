@@ -29,10 +29,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from ..state.sketches import hash64
-from .blocks import arrow_block_refs, arrow_block_refs_with_rows
+from .blocks import (
+    arrow_block_refs,
+    arrow_block_refs_with_rows,
+    dataset_from_refs,
+)
 from .cc import connected_components_bucketed
 from .exchange import (
     Spill,
@@ -43,7 +46,7 @@ from .exchange import (
     sorted_lookup,
 )
 from .joins import bucketed_equi_join
-from .textstage import split_whitespace
+from .textstage import tokens
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _BK_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -359,54 +362,17 @@ def exact_dedup(
 # ---------------------------------------------------------------------------
 
 
-def _flat_token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Whitespace tokens → stable 64-bit ids, fully vectorized:
-    ``textstage.split_whitespace`` → flatten → one ``hash64`` over the
-    whole batch's flat token array. Returns (flat uint64 ids in doc order,
-    per-doc int64 token counts). ``texts`` is a list of str/None or an
-    Arrow string column. Boundary whitespace yields empty tokens in
-    Arrow (unlike ``str.split()``) — filtered to keep tokenization
-    identical."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    if isinstance(texts, pa.Array):
-        arr = texts.cast(pa.string())
-    else:
-        arr = pa.array(texts, pa.string())
-    toks = split_whitespace(arr)
-    lengths = pc.fill_null(pc.list_value_length(toks), 0).to_numpy(
-        zero_copy_only=False
-    )
-    flat = pc.list_flatten(toks)
-    if len(flat) == 0:
-        return np.empty(0, dtype=np.uint64), np.zeros(len(arr), dtype=np.int64)
-    nonempty = pc.not_equal(flat, pa.scalar("", pa.string()))
-    nonempty_np = nonempty.to_numpy(zero_copy_only=False)
-    doc_idx = np.repeat(np.arange(len(arr)), lengths)[nonempty_np]
-    ids = hash64(flat.filter(nonempty))
-    return ids, np.bincount(doc_idx, minlength=len(arr)).astype(np.int64)
+def _flat_token_ids(texts, lower: bool = False):
+    """:func:`textstage.tokens` hashed: (flat uint64 token ids in doc
+    order, their int64 doc index) — one ``hash64`` over the batch."""
+    flat, doc = tokens(texts, lower)
+    return hash64(flat), doc
 
 
-def _token_ids(texts: list[str | None]) -> list[np.ndarray]:
-    """Per-doc token-id arrays: :func:`_flat_token_ids` sliced back per
-    doc via offsets."""
-    ids, counts = _flat_token_ids(texts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return [ids[offsets[i] : offsets[i + 1]] for i in range(len(counts))]
-
-
-def _shingle_hashes(token_ids: np.ndarray, k: int) -> np.ndarray:
-    """k-token shingle hashes via a polynomial combine over a sliding
-    window (vectorized with stride tricks)."""
-    n = token_ids.shape[0]
-    if n < k:
-        return token_ids[:1] if n else np.empty(0, dtype=np.uint64)
-    win = np.lib.stride_tricks.sliding_window_view(token_ids, k)
-    base = np.uint64(1099511628211)  # FNV prime
-    h = np.zeros(win.shape[0], dtype=np.uint64)
-    for j in range(k):
-        h = h * base + win[:, j]  # uint64 wraparound is the mixing
-    return np.unique(h)
+def _runs(doc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(doc of each run, run start) of a sorted doc-index array."""
+    starts = np.flatnonzero(np.diff(doc, prepend=-1))
+    return doc[starts], starts
 
 
 def _minhash_perms(n_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,31 +383,34 @@ def _minhash_perms(n_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flat_shingles(
-    ids: np.ndarray, counts: np.ndarray, k: int
+    ids: np.ndarray, doc: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-token shingle hashes of a whole batch at once: one polynomial
-    sliding window over the flat token-id array (the combine of
-    :func:`_shingle_hashes`), keeping only the windows that start and
-    end in one doc. A doc with 0 < n < k tokens keeps its first token
-    id as its one shingle, as :func:`_shingle_hashes` does. Shingles
-    are NOT de-duplicated (a repeated shingle cannot change a minimum).
-    Returns (flat shingle hashes in doc order, per-doc shingle
-    counts)."""
-    n = ids.shape[0]
-    pos = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    full = np.repeat(counts, counts) - pos >= k  # a whole k-window starts here
-    sel = full | ((pos == 0) & ~full)  # a short doc keeps its first token
-    vals = ids.copy()
-    m = n - k + 1
-    if m > 0:
-        base = np.uint64(1099511628211)  # FNV prime
-        h = np.zeros(m, dtype=np.uint64)
-        for j in range(k):
-            h *= base
-            h += ids[j : j + m]  # uint64 wraparound is the mixing
-        np.copyto(vals[:m], h, where=full[:m])
-    lengths = np.where(counts >= k, counts - k + 1, np.minimum(counts, 1))
-    return vals[sel], lengths
+    (FNV) sliding window over the flat token ids, keeping the full
+    windows that start and end in one doc (a doc with fewer than k
+    tokens has none). Returns (shingle hashes, their int64 doc index)
+    in doc order, NOT de-duplicated (:func:`_distinct_grams` does)."""
+    m = ids.shape[0] - k + 1
+    if m <= 0:
+        return np.empty(0, np.uint64), np.empty(0, np.int64)
+    base = np.uint64(1099511628211)  # FNV prime
+    h = np.zeros(m, dtype=np.uint64)
+    for j in range(k):
+        h *= base
+        h += ids[j : j + m]  # uint64 wraparound is the mixing
+    full = doc[k - 1 :] == doc[:m]
+    return h[full], doc[:m][full]
+
+
+def _distinct_grams(
+    h: np.ndarray, doc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each doc's distinct grams, ascending, docs in order: one sort."""
+    o = np.lexsort((h, doc))
+    h, doc = h[o], doc[o]
+    new = np.ones(h.shape[0], dtype=bool)
+    new[1:] = (h[1:] != h[:-1]) | (doc[1:] != doc[:-1])
+    return h[new], doc[new]
 
 
 def minhash_signatures(
@@ -455,18 +424,25 @@ def minhash_signatures(
 
     No per-doc Python loop: the k-shingles of every doc come from one
     sliding window over the batch's flat token-id array
-    (:func:`_flat_shingles`), and each permutation is one vectorized
-    hash pass over all shingles into preallocated buffers plus one
-    ``np.minimum.reduceat`` over doc boundaries. A doc with no token
-    keeps the all-max row."""
-    ids, counts = _flat_token_ids(texts)
-    sh, lengths = _flat_shingles(ids, counts, shingle_k)
-    sig = np.full((len(counts), n_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
-    nonempty = lengths > 0
-    if not nonempty.any():
+    (:func:`_flat_shingles`); a doc with 0 < n < k tokens has no full
+    window and keeps its first token id as its one shingle, a run of
+    its own after the others. Each permutation is one vectorized hash
+    pass over all shingles into preallocated buffers plus one
+    ``np.minimum.reduceat`` over the runs. A doc with no token keeps
+    the all-max row."""
+    ids, doc = _flat_token_ids(texts)
+    counts = np.bincount(doc, minlength=len(texts))
+    sh, sd = _flat_shingles(ids, doc, shingle_k)
+    rows, starts = _runs(sd)
+    short = np.flatnonzero((counts > 0) & (counts < shingle_k))
+    if short.shape[0]:
+        first = ids[np.cumsum(counts)[short] - counts[short]]
+        starts = np.append(starts, sh.shape[0] + np.arange(short.shape[0]))
+        rows = np.append(rows, short)
+        sh = np.append(sh, first)
+    sig = np.full((len(texts), n_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
+    if not rows.shape[0]:
         return sig
-    starts = np.zeros(int(nonempty.sum()), dtype=np.int64)
-    np.cumsum(lengths[nonempty][:-1], out=starts[1:])
     a, b = _minhash_perms(n_perm, seed)
     masked = sh & _MERSENNE
     hp = np.empty_like(masked)
@@ -476,7 +452,7 @@ def minhash_signatures(
         hp += b[p]
         hp &= _MERSENNE
         np.minimum.reduceat(hp, starts, out=mins[p])
-    sig[nonempty] = mins.T
+    sig[rows] = mins.T
     return sig
 
 
@@ -790,7 +766,8 @@ def _verify_pairs_distributed(
     n_pairs = pairs.count()
     if n_pairs == 0:
         # typed even when empty: a map over no blocks has no schema
-        return ray.data.from_arrow(_scored_pairs(_NO_IDS, _NO_IDS, [], out_col))
+        empty = _scored_pairs(_NO_IDS, _NO_IDS, [], out_col)
+        return dataset_from_refs([ray.put(empty)])
     limit = broadcast_rows_budget(bytes_per_row=8, fraction=0.004)
     # gate on the ACTUAL distinct endpoint count, not the 2·n_pairs
     # proxy: star emission makes endpoints ≈ n_pairs (each member pairs
@@ -861,23 +838,25 @@ def simhash_signatures(texts: list[str | None], seed: int = 7) -> np.ndarray:
     """64-bit SimHash per doc from token hashes (unit weights): sign of
     the per-bit sum of ±1 votes.
 
-    Batch-vectorized: all docs' token ids are concatenated once; per
-    bit position j, ONE shift/mask over the whole flat array and ONE
-    ``np.add.reduceat`` over the doc boundaries give every doc's bit-j
-    vote sum — 64 vectorized passes total, no per-doc Python loop
-    (bit-identical to the per-doc formulation: bit set iff
-    2·Σbits − n_tokens > 0)."""
-    token_ids = _token_ids(texts)
-    out = np.zeros(len(texts), dtype=np.uint64)
-    counts = np.fromiter(
-        (t.shape[0] for t in token_ids), dtype=np.int64, count=len(token_ids)
-    )
-    nz = np.flatnonzero(counts)
-    if nz.shape[0] == 0:
-        return out
-    flat = np.concatenate([token_ids[i] for i in nz])
-    offs = np.concatenate(([0], np.cumsum(counts[nz])))[:-1]
-    out[nz] = _simhash_votes(flat, offs, counts[nz])
+    Batch-vectorized over the flat token-id array: per bit position j,
+    ONE shift/mask over all ids and ONE ``np.add.reduceat`` over the
+    doc runs give every doc's bit-j vote sum — 64 vectorized passes
+    total, no per-doc Python loop (bit-identical to the per-doc
+    formulation: bit set iff 2·Σbits − n_tokens > 0)."""
+    return _simhash_words(texts, 1)[:, 0]
+
+
+def _simhash_words(texts, words: int) -> np.ndarray:
+    """(n, words) uint64 SimHash words: word 0 votes on the token ids,
+    word 1 (when ``words`` is 2) on their splitmix64 remix."""
+    ids, doc = _flat_token_ids(texts)
+    out = np.zeros((len(texts), words), dtype=np.uint64)
+    rows, starts = _runs(doc)
+    if rows.shape[0]:
+        cnt = np.diff(starts, append=ids.shape[0])
+        out[rows, 0] = _simhash_votes(ids, starts, cnt)
+        if words == 2:
+            out[rows, 1] = _simhash_votes(_remix64(ids), starts, cnt)
     return out
 
 
@@ -921,20 +900,7 @@ def simhash128_signatures(
     10⁸ docs. Note the distance SCALE changes: a one-edit doc pair
     lands at roughly 2× its 64-bit hamming distance — pick
     ``max_hamming`` per signature width."""
-    token_ids = _token_ids(texts)
-    out = np.zeros((len(texts), 2), dtype=np.uint64)
-    counts = np.fromiter(
-        (t.shape[0] for t in token_ids), dtype=np.int64, count=len(token_ids)
-    )
-    nz = np.flatnonzero(counts)
-    if nz.shape[0] == 0:
-        return out
-    flat = np.concatenate([token_ids[i] for i in nz])
-    offs = np.concatenate(([0], np.cumsum(counts[nz])))[:-1]
-    cnz = counts[nz]
-    out[nz, 0] = _simhash_votes(flat, offs, cnz)
-    out[nz, 1] = _simhash_votes(_remix64(flat), offs, cnz)
-    return out
+    return _simhash_words(texts, 2)
 
 
 def simhash_dedup(
@@ -1133,17 +1099,15 @@ def jaccard_all_pairs(
     """
 
     def to_shingle_rows(t: pa.Table) -> pa.Table:
-        tids = _token_ids(t[text_col].to_pylist())
-        ids = _ints(t, id_col)
-        parts = []
-        for i, tid in enumerate(tids):
-            if tid.shape[0] < n:
-                continue  # no shingles — mirrors the SQL twin exactly
-            s = _shingle_hashes(tid, n)  # already np.unique'd
-            parts.append((s.view(np.int64), np.full(s.shape[0], ids[i])))
-        sh, doc = _concat(parts, 2)
+        # full windows only: a doc with < n tokens has no shingles —
+        # mirrors the SQL twin exactly
+        ids, doc = _flat_token_ids(t[text_col])
+        sh, doc = _distinct_grams(*_flat_shingles(ids, doc, n))
         return pa.table(
-            {"sh": pa.array(sh, pa.int64()), "doc": pa.array(doc, pa.int64())}
+            {
+                "sh": pa.array(sh.view(np.int64), pa.int64()),
+                "doc": pa.array(_ints(t, id_col)[doc], pa.int64()),
+            }
         )
 
     slim = ds.map_batches(to_shingle_rows, batch_format="pyarrow").materialize()
@@ -1798,18 +1762,13 @@ def benchmark_ngram_hashes(
     probes at every width present, so short eval docs are never
     silently skipped. Benchmarks are small (test sets, eval suites),
     so this runs on the driver and is broadcast once."""
-    if lowercase:
-        texts = [t.lower() if t is not None else t for t in texts]
-    tids = _token_ids(texts)
-    by_width: dict[int, list[np.ndarray]] = {}
-    for t in tids:
-        w = min(n, t.shape[0])
-        if w == 0:
-            continue
-        by_width.setdefault(w, []).append(_shingle_hashes(t, w))
-    return {
-        w: np.unique(np.concatenate(gs)) for w, gs in by_width.items()
-    }
+    ids, doc = _flat_token_ids(texts, lowercase)
+    width = np.minimum(np.bincount(doc, minlength=len(texts)), n)
+    out = {}
+    for w in np.unique(width[width > 0]):
+        h, d = _flat_shingles(ids, doc, w)
+        out[int(w)] = np.unique(h[width[d] == w])
+    return out
 
 
 def decontaminate(
@@ -1829,8 +1788,8 @@ def decontaminate(
     Scale shape: the benchmark's per-width n-gram hash sets are
     driver-computed (benchmarks are small) and broadcast ONCE via
     ``ray.put``; the corpus side is one ``map_batches`` scan —
-    tokenize (vectorized Arrow split + one hash64 per batch),
-    polynomial sliding-window gram hashes per doc at each width the
+    tokenize (``textstage.tokens`` + one hash64 per batch), one
+    sliding window over the batch's flat token ids at each width the
     benchmark contains (one width, n, unless the suite has shorter
     docs — at most n widths total), sorted-array membership via
     searchsorted. Nothing shuffles; output is contaminated-doc-count
@@ -1849,24 +1808,13 @@ def decontaminate(
         )
         if not b or t.num_rows == 0:
             return empty
-        txt = t[text_col].combine_chunks()
-        if lowercase:
-            txt = pc.utf8_lower(txt)
-        tids = _token_ids(txt.to_pylist())
-        hits = np.zeros(len(tids), dtype=np.int64)
+        ids, doc = _flat_token_ids(t[text_col], lowercase)
+        hits = np.zeros(t.num_rows, dtype=np.int64)
         for w, bw in b.items():
-            grams = [
-                _shingle_hashes(x, w) if x.shape[0] >= w else
-                np.empty(0, dtype=np.uint64)
-                for x in tids
-            ]
-            lengths = np.array([g.shape[0] for g in grams], dtype=np.int64)
-            if lengths.sum() == 0:
-                continue
-            allg = np.concatenate([g for g in grams if g.shape[0]])
-            doc_idx = np.repeat(np.arange(len(grams)), lengths)
-            member, _ = sorted_lookup(bw, allg)
-            hits += np.bincount(doc_idx[member], minlength=len(grams))
+            h, d = _flat_shingles(ids, doc, w)
+            member, _ = sorted_lookup(bw, h)
+            _, d = _distinct_grams(h[member], d[member])
+            hits += np.bincount(d, minlength=t.num_rows)
         bad = hits > 0
         if not bad.any():
             return empty

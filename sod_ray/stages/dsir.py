@@ -53,6 +53,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..state.sketches import hash64
+from .textstage import tokens
 
 __all__ = [
     "gram_bucket_counts",
@@ -78,58 +79,27 @@ def _md5_doc_buckets(words: list[str], n_buckets: int) -> np.ndarray:
 
 
 def _hash64_flat_buckets(t: pa.Table, text_col: str, n_buckets: int):
-    """Vectorized per-batch gram buckets: returns (unigram buckets
-    aligned to the flattened token array, bigram buckets with
-    cross-doc positions REMOVED... kept as (ubk, bbk, valid_mask,
-    starts, ends) so both the counting and the weighting pass share
-    one kernel).
+    """Vectorized per-batch gram buckets over :func:`textstage.tokens`,
+    shared by the counting and the weighting pass. Returns
+    (ubk, bbk, bvalid, starts, ends):
 
     ubk: (T,) int64 — bucket per token instance.
     bbk: (T-1,) int64 — bucket per adjacent-token pair (position i
-         pairs tokens i, i+1); positions crossing a doc boundary are
-         marked False in bvalid and must be ignored.
+         pairs tokens i, i+1); bvalid is False where the pair crosses a
+         doc boundary, and those positions must be ignored.
     starts/ends: (n_docs,) int64 token-offset spans per doc.
     """
-    txt = t[text_col]
-    if isinstance(txt, pa.ChunkedArray):
-        txt = txt.combine_chunks()
-    toks = pc.utf8_split_whitespace(pc.fill_null(txt, ""))
-    flat = pc.list_flatten(toks)
-    n_per = pc.list_value_length(toks).to_numpy().astype(np.int64)
-    # Arrow's split emits EMPTY tokens at leading/trailing/repeated
-    # whitespace; the \S+ token convention (and Python .split()) does
-    # not — drop them, recomputing per-doc token counts
-    keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-    if not keep.all():
-        doc_idx = np.repeat(np.arange(n_per.shape[0]), n_per)
-        n_per = np.bincount(
-            doc_idx[keep], minlength=n_per.shape[0]
-        ).astype(np.int64)
-        flat = flat.filter(pa.array(keep))
+    flat, doc = tokens(t[text_col])
+    n_per = np.bincount(doc, minlength=t.num_rows)
     ends = np.cumsum(n_per)
     starts = ends - n_per
-    T = int(ends[-1]) if ends.shape[0] else 0
-    if T == 0:
-        z = np.empty(0, np.int64)
-        return z, z, np.empty(0, bool), starts, ends
     ubk = (hash64(flat) % np.uint64(n_buckets)).astype(np.int64)
-    if T >= 2:
-        big = pc.binary_join_element_wise(
-            flat.slice(0, T - 1), flat.slice(1, T - 1), " "
-        )
-        bbk = (hash64(big) % np.uint64(n_buckets)).astype(np.int64)
-        bvalid = np.ones(T - 1, dtype=bool)
-        # position e-1 pairs the last token of one doc with the first
-        # of the next — never a real bigram
-        cut = ends[:-1] - 1
-        cut = cut[(cut >= 0) & (cut < T - 1)]
-        bvalid[cut] = False
-        # docs with < 2 tokens contribute no bigrams; their spans are
-        # empty in bigram space already (start == end-1 handled above)
-    else:
-        bbk = np.empty(0, np.int64)
-        bvalid = np.empty(0, bool)
-    return ubk, bbk, bvalid, starts, ends
+    T = ubk.shape[0]
+    big = pc.binary_join_element_wise(
+        flat.slice(0, max(T - 1, 0)), flat.slice(1), " "
+    )
+    bbk = (hash64(big) % np.uint64(n_buckets)).astype(np.int64)
+    return ubk, bbk, doc[1:] == doc[:-1], starts, ends
 
 
 def gram_bucket_counts(

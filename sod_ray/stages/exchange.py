@@ -287,7 +287,6 @@ def exchange_reduce(
     caller can free a disk-tight input there."""
     if spill is not None:
         import pyarrow.parquet as pq
-        import ray.data as rd
 
         P = num_buckets or _default_buckets()
 
@@ -326,7 +325,7 @@ def exchange_reduce(
             spill.free_after(ph_outs, name)
             outs.extend(ph_outs)
         if not outs:
-            return rd.from_arrow(fn(pa.table({})))
+            return dataset_from_refs([ray.put(fn(pa.table({})))])
         return dataset_from_refs(outs)
 
     from .blocks import arrow_block_refs_with_rows
@@ -339,9 +338,7 @@ def exchange_reduce(
         # zero executed blocks: materialize fn's typed empty output so
         # downstream consumers still see the reduce schema (a bare
         # map_batches over no blocks yields a schema-less Dataset)
-        import ray.data as rd
-
-        return rd.from_arrow(fn(pa.table({})))
+        return dataset_from_refs([ray.put(fn(pa.table({})))])
     if P == 1:
         # one bucket == all rows: no split stage at all, one reduce
         # over the blocks themselves

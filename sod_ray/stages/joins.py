@@ -242,7 +242,7 @@ def asof_join_salted(
     bucket for extreme key×bucket cardinality.
 
     Semantics and output match ``asof_join(direction="backward")``."""
-    import ray.data as rd
+    import ray
 
     from ..state.sketches import hash64
     from .exchange import exchange_reduce
@@ -420,7 +420,8 @@ def asof_join_salted(
         right_slim.map_batches(tag_right, batch_format="pyarrow")
     )
     if carry_tables:
-        tagged = tagged.union(rd.from_arrow(carry_tables[0]))
+        carry = dataset_from_refs([ray.put(carry_tables[0])])
+        tagged = tagged.union(carry)
 
     merge_bucket = _asof_kernel(
         by, on, left_names, right_cols, out_names, ltypes, rtypes,

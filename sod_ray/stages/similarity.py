@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-from .blocks import arrow_block_refs
+from .blocks import arrow_block_refs, dataset_from_refs
 
 
 def _to_matrix(col, dtype=np.float32) -> np.ndarray:
@@ -154,15 +154,14 @@ def cosine_all_pairs(
         if b.num_rows
     ]
     if not blocks:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
+        empty = pa.table(
+            {
+                "id_a": pa.array([], pa.int64()),
+                "id_b": pa.array([], pa.int64()),
+                "cosine": pa.array([], pa.float64()),
+            }
         )
+        return dataset_from_refs([ray.put(empty)])
     ids = np.concatenate(
         [b[id_col].to_numpy(zero_copy_only=False) for b in blocks]
     ).astype(np.int64)

@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..state.sketches import HyperLogLog, TDigest, Welford, hash64
+from .textstage import tokens
 
 GLOBAL_KEY = "__all__"
 
@@ -221,6 +222,18 @@ def kll_column_quantiles(
     return p.groupby("part_key").map_groups(merge, batch_format="pyarrow")
 
 
+def _mg_fold(col, m: int, tokenize: bool) -> bytes:
+    """One batch's Misra-Gries partial (serialized) over ``col``'s
+    values, or over its ``textstage.tokens`` when ``tokenize``."""
+    from ..state.sketches import MisraGries
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if tokenize:
+        col = tokens(col)[0]
+    return MisraGries(m=m).update_array(col).to_bytes()
+
+
 def heavy_hitters(
     ds,
     column: str,
@@ -255,26 +268,13 @@ def heavy_hitters(
     (token, n) partials): this never shuffles token rows at all —
     at 10^12 rows the exact path moves ~vocab × batches partial rows
     through a groupby, while this moves ~batches sketch rows."""
-    import pyarrow.compute as pc_
-
     from ..state.sketches import MisraGries, hash64
-
-    def _fold(col) -> bytes:
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if tokenize:
-            col = pc_.list_flatten(pc_.utf8_split_whitespace(col))
-            # utf8_split_whitespace emits '' at leading/trailing/repeated
-            # whitespace; \S+ (the oracle tokenizer) never does — filter
-            # so MG n / err_ub match the exact side's token universe
-            col = col.filter(pc_.not_equal(col, ""))
-        return MisraGries(m=m).update_array(col).to_bytes()
 
     def partials(batch: pa.Table) -> pa.Table:
         keys_out, bkts, mgs = [], [], []
         for key_val, rows in _group_indices(batch, key):
             sub = batch if rows is None else batch.take(pa.array(rows))
-            b = _fold(sub[column])
+            b = _mg_fold(sub[column], m, tokenize)
             # route by content hash so partials spread across the merge
             # buckets (a constant would funnel every partial to one
             # worker)
@@ -412,6 +412,14 @@ def bloom_probe_column(ds, column: str, bloom):
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
+def _cm_fold(col, width: int, depth: int) -> bytes:
+    """One batch's Count-Min partial (serialized) over ``col``'s
+    ``textstage.tokens``."""
+    from ..state.sketches import CountMin
+
+    return CountMin(width, depth).add_array(tokens(col)[0]).to_bytes()
+
+
 def cm_build_tokens(
     ds, text_col: str = "text", width: int = 1 << 15, depth: int = 4
 ):
@@ -431,27 +439,11 @@ def cm_build_tokens(
     the per-merge ArrowConversionError noise the object form caused.
     The any-item frequency probe next to Misra-Gries' heavy-hitter
     summary."""
-    import pyarrow.compute as pc
-
     from ..state.sketches import CountMin
 
     def partial(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.utf8_split_whitespace(
-                pc.fill_null(t[text_col].combine_chunks(), "")
-            )
-        )
-        # align with \S+: no empty tokens (keeps CM n / error_bound
-        # on the same token universe as the exact side)
-        toks = toks.filter(pc.not_equal(toks, ""))
-        return pa.table(
-            {
-                "cm": pa.array(
-                    [CountMin(width, depth).add_array(toks).to_bytes()],
-                    pa.binary(),
-                )
-            }
-        )
+        cm = _cm_fold(t[text_col], width, depth)
+        return pa.table({"cm": pa.array([cm], pa.binary())})
 
     out = CountMin(width, depth)
     stream = ds.select_columns([text_col]).map_batches(

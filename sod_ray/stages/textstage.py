@@ -125,17 +125,43 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
-def split_whitespace(arr):
-    """``pc.utf8_split_whitespace`` without its end-of-string misread
-    (pyarrow 16): for a string ending in whitespace the forward split
-    reads the byte AFTER the string, and when that byte does not start
-    valid UTF-8 (a stray byte ≥ 0x80 past the data buffer's logical end,
-    so only an array's last string) it keeps the trailing whitespace in
-    the last token ("w3 " instead of "w3"): the batch's last doc then
-    tokenizes by whatever memory follows it. Right-trimming first gives
-    the tokens of a correct split minus the empty trailing ones, which
-    every caller drops anyway."""
-    return pc.utf8_split_whitespace(pc.utf8_rtrim_whitespace(arr))
+def tokens(arr, lower: bool = False) -> tuple[pa.Array, np.ndarray]:
+    """The engine's one whitespace tokenizer. Returns (the flat string
+    array of every doc's tokens in doc order, the int64 doc index of
+    each token); ``arr`` is an Arrow string column or a list of
+    str/None, ``lower`` lowercases first (``utf8_lower``).
+
+    Token convention: a token is a maximal run of non-whitespace, where
+    whitespace is Unicode whitespace as ``utf8_split_whitespace``
+    defines it; no token is empty, and a null, empty or all-whitespace
+    doc has none. Known divergence: the DuckDB oracles count RE2
+    ``\\S+`` runs, and RE2's ``\\s`` is ASCII-only, so a doc joining two
+    words with non-ASCII whitespace (U+00A0, U+3000 ...) has two tokens
+    here and one in SQL. The two agree on ASCII text (all testdata).
+
+    The text is trimmed before the split: pyarrow 16's split reads the
+    byte after a string that ends in whitespace, and when that byte does
+    not start valid UTF-8 (a stray byte >= 0x80 past the data buffer's
+    logical end, so only an array's last string) it keeps the trailing
+    whitespace in the last token ("w3 " instead of "w3"). Trimming also
+    removes the empty edge tokens the split emits; a doc that trims to
+    "" is nulled so it does not split to [""]."""
+    if isinstance(arr, pa.ChunkedArray):  # one chunk: no copy
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    if isinstance(arr, pa.Array):
+        arr = arr.cast(pa.string())
+    else:
+        arr = pa.array(arr, pa.string())
+    if lower:
+        arr = pc.utf8_lower(arr)
+    arr = pc.utf8_trim_whitespace(arr)
+    blank = pc.equal(pc.binary_length(arr), 0)
+    if pc.any(blank).as_py():
+        arr = pc.if_else(blank, pa.scalar(None, pa.string()), arr)
+    words = pc.utf8_split_whitespace(arr)
+    per_doc = pc.fill_null(pc.list_value_length(words), 0).to_numpy()
+    doc = np.repeat(np.arange(len(arr), dtype=np.int64), per_doc)
+    return pc.list_flatten(words), doc
 
 
 # rows × bigram-key range at or past which gopher_stats_batch densifies
@@ -162,21 +188,10 @@ def gopher_stats_batch(
     key can overflow int64 while both stay under 3·10^9 — far past any
     batch that fits in memory (3·10^9 tokens is 24 GB of int64 codes).
 
-    Tokenization note: splits on UNICODE whitespace; the DuckDB oracle
-    twin's RE2 ``\\S+`` is ASCII-only. Identical on ASCII corpora (all
-    testdata); exotic whitespace (U+00A0 etc.) joins two SQL tokens
-    into one."""
-    words = split_whitespace(pc.fill_null(batch[text_col].combine_chunks(), ""))
-    flat = pc.list_flatten(words)
-    per_doc = pc.list_value_length(words).to_numpy().astype(np.int64)
+    Tokens come from :func:`tokens`."""
+    flat, doc_idx = tokens(batch[text_col])
     wl = pc.utf8_length(flat).to_numpy().astype(np.int64)
     n = len(batch)
-    doc_idx = np.repeat(np.arange(n, dtype=np.int64), per_doc)
-    keep = wl > 0  # whitespace-split may emit empties at text edges
-    if not keep.all():
-        doc_idx = doc_idx[keep]
-        wl = wl[keep]
-        flat = flat.filter(pa.array(keep))
     wc = np.bincount(doc_idx, minlength=n).astype(np.int64)
     csum = np.bincount(doc_idx, weights=wl, minlength=n)
     top = np.zeros(n, dtype=np.int64)

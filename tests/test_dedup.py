@@ -399,25 +399,30 @@ def test_neardup_dedup_corpus_no_dups(ray_session):
 
 def test_decontaminate_short_benchmark_text(ray_session):
     """Benchmark texts shorter than n tokens still decontaminate: they
-    probe at their own full-sequence width instead of being skipped."""
+    probe at their own full-sequence width instead of being skipped.
+    Both sides lowercase alike: "İ" lowers to "i" in Arrow but to
+    "i̇" (i + U+0307) in Python, and a benchmark lowered by Python
+    missed its own text in the corpus."""
     import ray.data as rd
 
     from sod_ray.stages.dedup import decontaminate
 
     short_q = "what is the capital of france"  # 6 tokens < n=13
+    city_q = "İstanbul is the largest city"
     docs = pd.DataFrame(
         {
-            "doc_id": [0, 1],
+            "doc_id": [0, 1, 2],
             "text": [
                 "trivia time: " + short_q + " and other questions follow",
                 "a completely unrelated document about rivers and dams",
+                "geography: " + city_q + " of the country",
             ],
         }
     )
     out = decontaminate(
-        rd.from_pandas(docs), [short_q], n=13
+        rd.from_pandas(docs), [short_q, city_q], n=13
     ).to_pandas()
-    assert out["node"].tolist() == [0]
+    assert sorted(out["node"].tolist()) == [0, 2]
 
 
 def test_minhash_star_emission_same_clusters(ray_session):
@@ -1715,6 +1720,40 @@ def test_neardup_drop_ids_execution_budget(ray_session, doc_table, monkeypatch):
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     assert set(drop.to_pandas()["node"]) == {1, 2, 3}
     assert n_exec <= 8
+
+
+def test_empty_exchange_result_reads_launch_no_execution(
+    ray_session, monkeypatch
+):
+    """An empty ``exchange_reduce`` result is a marked Dataset: reading
+    it twice launches no Ray Data execution (counted as in
+    ``test_neardup_drop_ids_execution_budget``). A bare
+    ``rd.from_arrow`` result launched one empty execution per read."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from sod_ray.stages.exchange import exchange_reduce
+
+    def fn(t: pa.Table) -> pa.Table:
+        return pa.table({"k": pa.array([], pa.int64())})
+
+    ds = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
+    res = exchange_reduce(ds.limit(0), "k", fn)  # no block to exchange
+    execute = StreamingExecutor.execute
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return execute(self, *args, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    for _ in range(2):
+        assert res.to_arrow_refs() and res.count() == 0
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    assert res.schema().names == ["k"]
+    assert len(calls) == 0
 
 
 _ONE_CPU_SCRIPT = r"""

@@ -4,6 +4,7 @@ every funnel stage; resume reloads checkpointed decisions."""
 
 import json
 import os
+import re
 import shutil
 
 import pandas as pd
@@ -642,7 +643,7 @@ def test_export_pack_chunks_sidecar(ray_session, tmp_path):
     rows = [
         (i, GOOD + f" body variant number {i} here", "a" if i % 2 else "b")
         for i in range(40)
-    ]
+    ] + [(40, "  lead " + GOOD, "a"), (41, " \t ", "b"), (42, None, "a")]
     t = pa.table(
         {
             "doc_id": pa.array([r[0] for r in rows], pa.int64()),
@@ -669,13 +670,15 @@ def test_export_pack_chunks_sidecar(ray_session, tmp_path):
         pq.ParquetDataset(os.path.join(out, "chunks")).read().to_pandas()
         .sort_values("doc_id").reset_index(drop=True)
     )
-    assert len(spans) == 40
-    # sequential reference over the curated docs in (lang, doc_id) order
+    assert len(spans) == 43
+    # sequential reference over the curated docs in (lang, doc_id) order,
+    # counting \S+ runs as the docs_pack_chunks oracle does
     src = t.to_pandas().sort_values(["lang", "doc_id"])
     prev_by = {}
     ref = {}
+    n_tok = {}
     for _, r in src.iterrows():
-        nt = len(r["text"].split())
+        nt = n_tok[r["doc_id"]] = len(re.findall(r"\S+", r["text"] or ""))
         prev = prev_by.get(r["lang"], 0)
         ref[r["doc_id"]] = (prev // 128, (prev + max(nt, 1) - 1) // 128, prev % 128)
         prev_by[r["lang"]] = prev + nt
@@ -683,6 +686,7 @@ def test_export_pack_chunks_sidecar(ray_session, tmp_path):
         assert (
             r["chunk_start"], r["chunk_end"], r["chunk_offset"]
         ) == ref[r["doc_id"]], r["doc_id"]
+        assert r["n_tokens"] == n_tok[r["doc_id"]], r["doc_id"]
 
     # resume reuses the committed manifest
     res2 = run_export(d, out, cfg)

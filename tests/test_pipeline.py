@@ -82,6 +82,38 @@ def test_full_run_and_resume(ray_session, web_dir, tmp_path):
         assert v3.loc[p, "rows"] == v.loc[p, "rows"]
 
 
+def test_run_validation_execution_budget(
+    ray_session, web_dir, tmp_path, monkeypatch
+):
+    """One validation run over the shared web fixture (default config
+    plus the refs check, the validate_lang benchmark's shape) launches
+    at most 9 Ray Data executions (streaming-executor runs, counted by
+    patching ``StreamingExecutor.execute`` as perfbench's tracer does).
+    The count is deterministic for one input and session size, so a
+    new execution in the run fails here without timing noise."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from sod_ray.pipelines.validate import ValidateConfig, run_validation
+
+    src, truth = web_dir
+    execute = StreamingExecutor.execute
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return execute(self, *args, **kw)
+
+    cfg = ValidateConfig(refs_path=f"{src}/webpage_refs")
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
+    n_exec = len(calls)
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
+    assert n_exec <= 9
+
+
 def test_verdicts_detect_planted_anomalies(ray_session, web_dir, tmp_path):
     import pandas as pd
     import pyarrow.parquet as pq

@@ -140,29 +140,78 @@ def test_gopher_bigrams_match_lexsort_reference(monkeypatch):
         monkeypatch.undo()
 
 
-def test_tokens_ignore_bytes_past_the_last_doc():
-    """The last doc of a batch tokenizes the same whatever lies past its
-    array's data buffer: pyarrow's ``utf8_split_whitespace`` alone reads
-    the byte after a string that ends in whitespace and, when that byte
-    is not valid UTF-8 (any stray byte ≥ 0x80), kept the trailing space
-    in the last token ("w3 "), so the MinHash signature and the Gopher
-    word lengths of a batch's last doc depended on memory."""
-    from sod_ray.stages.dedup import minhash_signatures
+def _docs(texts) -> pa.Table:
+    return pa.table(
+        {"doc_id": pa.array(np.arange(len(texts)), pa.int64()), "text": texts}
+    )
 
-    texts = ["a b", "w1 w2 w3 "]
-    data = "".join(texts).encode()
-    offsets = np.array([0, 3, len(data)], np.int32)
+
+def _token_consumers():
+    """Every kernel that tokenizes through ``textstage.tokens``, as
+    ``name -> fn(string array) -> output``."""
+    from sod_ray.pipelines.export import _pack_token_rows
+    from sod_ray.pipelines.queries import _blocklist_survivors, _tf_rows
+    from sod_ray.stages.dedup import minhash_signatures, simhash128_signatures
+    from sod_ray.stages.dsir import _hash64_flat_buckets
+    from sod_ray.stages.stats import _cm_fold, _mg_fold
+    from sod_ray.stages.textstage import tokens
+
+    return {
+        "tokens": tokens,
+        "minhash": lambda a: minhash_signatures(a, 16, 1),
+        "gopher": lambda a: gopher_stats_batch(_docs(a)),
+        "dsir_buckets": lambda a: _hash64_flat_buckets(_docs(a), "text", 64),
+        "misra_gries": lambda a: _mg_fold(a, 64, True),
+        "count_min": lambda a: _cm_fold(a, 256, 2),
+        "simhash": simhash128_signatures,
+        "tf_rows": lambda a: _tf_rows(_docs(a)),
+        "blocklist": lambda a: _blocklist_survivors(_docs(a)),
+        "pack_count": lambda a: _pack_token_rows(_docs(a), "doc_id", "text", None),
+    }
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, pa.Table):  # NaN-aware
+        return x.to_pandas().equals(y.to_pandas())
+    if isinstance(x, pa.Array):
+        return x.equals(y)
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    ["tokens", "minhash", "gopher", "dsir_buckets", "misra_gries",
+     "count_min", "simhash", "tf_rows", "blocklist", "pack_count"],
+)
+def test_tokens_ignore_bytes_past_the_last_doc(consumer):
+    """A batch's last doc tokenizes the same whatever lies past its
+    array's data buffer, in every token consumer: pyarrow's
+    ``utf8_split_whitespace`` alone reads the byte after a string that
+    ends in whitespace and, when that byte is not valid UTF-8 (any stray
+    byte >= 0x80), keeps the trailing space in the last token
+    ("spark " instead of "spark"), so the output for the batch's last
+    doc depended on memory."""
+    from test_dedup import EDGE_TEXTS
+
+    from sod_ray.stages.textstage import tokens
+
+    texts = EDGE_TEXTS + ["w1 w2 spark "]
+    clean = pa.array(texts, pa.string())
+    validity, offsets, data = clean.buffers()
+    end = int(np.frombuffer(offsets, np.int32)[len(texts)])
     stray = pa.StringArray.from_buffers(
-        2, pa.py_buffer(offsets.tobytes()), pa.py_buffer(data + b"\x80")
+        len(texts), offsets, pa.py_buffer(data.to_pybytes()[:end] + b"\x80"),
+        validity, clean.null_count,
     )
     assert stray.to_pylist() == texts
-    assert np.array_equal(
-        minhash_signatures(stray, 16, 1), minhash_signatures(texts, 16, 1)
-    )
-    g = gopher_stats_batch(
-        pa.table({"doc_id": pa.array([0, 1], pa.int64()), "text": stray})
-    )
-    assert g["mean_word_len"].to_pylist() == [1.0, 2.0]
+    words = [w for t in texts if t for w in t.split()]
+    assert tokens(stray)[0].to_pylist() == words
+    fn = _token_consumers()[consumer]
+    assert _same(fn(stray), fn(clean))
 
 
 def _line_dedup_ref(docs: dict[int, str]) -> dict[int, str]:

@@ -96,12 +96,13 @@ def gen_line_corpus(out_dir: str, n_docs: int, n_shards: int, seed: int = 11):
 
 def simhash_signatures_reference(texts, seed: int = 7) -> np.ndarray:
     """The pre-r3 per-doc loop, kept as the A/B + parity reference."""
-    from sod_ray.stages.dedup import _token_ids
+    from sod_ray.stages.dedup import _flat_token_ids
 
-    token_ids = _token_ids(texts)
+    ids, doc = _flat_token_ids(texts)
+    counts = np.bincount(doc, minlength=len(texts))
     out = np.zeros(len(texts), dtype=np.uint64)
     bits = np.arange(64, dtype=np.uint64)
-    for i, tids in enumerate(token_ids):
+    for i, tids in enumerate(np.split(ids, np.cumsum(counts)[:-1])):
         if tids.shape[0] == 0:
             continue
         votes = ((tids[:, None] >> bits) & np.uint64(1)).astype(np.int64)
