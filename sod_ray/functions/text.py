@@ -59,10 +59,21 @@ def extract_text_arrow(html_col, out_null_on_error: bool = True):
     output byte-for-byte on valid-UTF-8 html (verified in tests).
 
     All work happens in pyarrow compute kernels (C++/RE2): cast
-    binary→string, drop script/style blocks (two passes — RE2 has no
-    backreferences; equivalent for non-interleaved tags), strip tags,
-    decode the five standard entities, collapse ASCII whitespace runs,
-    trim. Rows whose bytes are not valid UTF-8 come back null (they are
+    binary→string, then one path of three rewrites and a trim:
+
+    1. one alternation pass replaces every script block, style block
+       and bare tag with " " (RE2 has no backreferences, so script and
+       style are separate alternatives; leftmost-first matching makes
+       the pass equivalent to the reference's sequential passes for
+       non-interleaved tags);
+    2. the five standard entities are decoded, only in a batch that
+       holds an ``&`` at all;
+    3. whitespace runs collapse to one space. The pattern matches only
+       the runs that change — two or more whitespace bytes, or one that
+       is not a space — so the single spaces between words (most of the
+       matches of a plain ``[ \t\r\n\f\v]+``) are left alone.
+
+    Rows whose bytes are not valid UTF-8 come back null (they are
     schema violations upstream anyway)."""
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -86,35 +97,15 @@ def extract_text_arrow(html_col, out_null_on_error: bool = True):
                 except UnicodeDecodeError:
                     dec.append(None)
         s = pa.array(dec, pa.string())
-    if not pc.any(pc.match_substring(s, "&")).as_py():
-        # entity-free fast path: ONE fused rewrite — any run of
-        # script/style blocks, bare tags and whitespace collapses to a
-        # single space (a tag-then-space-then-tag run is one match, so
-        # no second collapse pass is needed). Byte-identical to the
-        # sequential passes because each tag and each ws-run would have
-        # become " " and then collapsed anyway; only entity decode
-        # (absent here) is order-sensitive. Halves the full-array
-        # rewrites in the flagship's memory-bandwidth-bound hot loop.
-        s = pc.replace_substring_regex(
-            s,
-            r"(?is)(?:<script\b[^>]*>.*?</script\s*>"
-            r"|<style\b[^>]*>.*?</style\s*>"
-            r"|<[^>]*>"
-            r"|[ \t\r\n\f\v])+",
-            " ",
-        )
-        return pc.utf8_trim(s, " \t\r\n\f\v")
-    # one alternation pass: script-block | style-block | bare tag
-    # (leftmost-first matching makes this equivalent to the reference's
-    # sequential passes; pinned by the parity test)
     s = pc.replace_substring_regex(
         s,
         r"(?is)<script\b[^>]*>.*?</script\s*>|<style\b[^>]*>.*?</style\s*>|<[^>]*>",
         " ",
     )
-    for ent, ch in _ENTITIES.items():
-        s = pc.replace_substring(s, ent.decode(), ch.decode())
-    s = pc.replace_substring_regex(s, r"[ \t\r\n\f\v]+", " ")
+    if pc.any(pc.match_substring(s, "&")).as_py():
+        for ent, ch in _ENTITIES.items():
+            s = pc.replace_substring(s, ent.decode(), ch.decode())
+    s = pc.replace_substring_regex(s, r"[ \t\r\n\f\v]{2,}|[\t\r\n\f\v]", " ")
     return pc.utf8_trim(s, " \t\r\n\f\v")
 
 

@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.textstage import tokens
+from ..stages.textstage import count_nonspace_runs, tokens
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -2172,14 +2172,13 @@ def docs_pack_chunks(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def slim(t: pa.Table) -> pa.Table:
-        # count \S+ runs like the oracle: splitting on whitespace also
-        # yields empty tokens at leading/trailing space and for ""
-        toks = pc.count_substring_regex(t["text"].combine_chunks(), r"\S+")
+        # the oracle's RE2 \S+ count; a null text keeps a null count
+        # (pack_chunks spans it like the SQL twin does)
         return pa.table(
             {
                 "doc_id": t["doc_id"].cast(pa.int64()),
                 "lang": t["lang"],
-                "n_tokens": toks.cast(pa.int64()),
+                "n_tokens": count_nonspace_runs(t["text"]),
             }
         )
 
@@ -4070,7 +4069,7 @@ def docs_c4_line_filter(sf_dir: str):
     `doc_dup_fractions` oracle convention) — ``' scan '`` / ``' merge
     '`` become sentence breaks. The filter itself is one vectorized
     per-batch kernel: flatten lines with offsets, per-line word count
-    via ``count_substring_regex('\\S+')`` + terminal-punct regex,
+    via ``textstage.count_nonspace_runs`` + terminal-punct regex,
     per-doc kept counts from offsets, Arrow ``binary_join``
     reassembly — per-doc decisions are local, NO shuffle anywhere."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -4086,9 +4085,7 @@ def docs_c4_line_filter(sf_dir: str):
             lines, pa.ChunkedArray
         ) else pc.list_flatten(lines)
         n_per = pc.list_value_length(lines).to_numpy().astype(np.int64)
-        nw = pc.count_substring_regex(flat, r"\S+").to_numpy(
-            zero_copy_only=False
-        )
+        nw = count_nonspace_runs(flat).to_numpy(zero_copy_only=False)
         punct = pc.match_substring_regex(flat, r"[.!?\"]$").to_numpy(
             zero_copy_only=False
         )

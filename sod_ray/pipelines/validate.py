@@ -10,17 +10,31 @@ translated to Ray Data).
         parquet via intermediate_dir — the 100 TB path); every
         downstream constraint consumes it without recomputing the scan
       → CONCURRENTLY:
-        · combined sketch partials → two-level salted merge    (stats,
-          nulls, uniqueness — only sketch rows cross the shuffle)
-        · extraction-mismatch rows → partitioned parquet sink
+        · combined sketch partials → two-level salted merge on raw-task
+          ``exchange_reduce`` (stats, nulls, uniqueness — only sketch
+          rows cross the exchange); partitions whose HLL estimate sits
+          near the dup threshold get an exact hash count, also on
+          ``exchange_reduce``
+        · extraction-mismatch rows → partitioned parquet sink; the
+          per-partition mismatch counts are rows − extract_matches of
+          the merge's counters, so nothing re-reads the rows
         · windowed z-score peaks: distributed sort + per-block scoring
           with (window-1)-row overlap context — exact, parallel even
           within one hot entity key; flagged rows written by the
-          scoring tasks themselves
+          scoring tasks themselves. This is the pass's only Ray Data
+          sort.
+        · run-level referential FK containment (refs_path): parent
+          urls from raw per-block unique tasks over the slim table, a
+          broadcast anti-join, the violation set written from the
+          driver when it fits the broadcast budget
       → optional drift check vs baseline sketches (actor pool)
-      → run-level referential FK containment (refs_path)
       → per-partition verdicts + manifest commit (atomic rename),
         in waves (partitions_per_wave) for checkpoint granularity
+
+A default run with the refs check is six Ray Data executions: the
+fused scan, the sketch partials, the peaks sort, the mismatch sink,
+the exact-uniqueness hashes (only for ambiguous partitions) and the
+anti-join.
 
 At 100 TB the materialize step becomes a write of the slim feature
 table to intermediate parquet (same shape, spillable); everything else
@@ -43,6 +57,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import ray
 
 try:
     # ray.data's read path lazily imports this inside
@@ -124,6 +139,7 @@ class FusedFeatures:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..functions.text import extract_text_arrow
+        from ..stages.textstage import count_nonspace_runs
 
         extracted = extract_text_arrow(batch["html"])
         text = batch["text"].combine_chunks() if isinstance(
@@ -133,7 +149,7 @@ class FusedFeatures:
         html_null = pc.is_null(batch["html"])
         text_null = pc.is_null(text)
         n_chars = pc.fill_null(pc.utf8_length(text), 0)
-        n_tokens = pc.fill_null(pc.count_substring_regex(text, r"\S+"), 0)
+        n_tokens = pc.fill_null(count_nonspace_runs(text), 0)
         out = {
             "url": batch["url"],
             "warc_ts": batch["warc_ts"],
@@ -170,8 +186,11 @@ class FusedFeatures:
 def _combined_partials_merge(featured, cfg: "ValidateConfig"):
     """One partial+merge pass computing, per partition key: Welford +
     t-digest sketches for every stat column, the url-uniqueness HLL,
-    and the null/match counters. One map_batches + one groupby — the
-    shuffle carries a handful of sketch rows per (key, batch)."""
+    and the null/match counters. One map_batches, then raw-task
+    ``exchange_reduce`` levels keyed on ``hash64(part_key)`` — the
+    exchange carries a handful of sketch rows per (key, batch) and no
+    Ray Data sort runs. Rows come out per key in ``stat_columns``
+    order; the order of the keys follows the buckets."""
     from ..state.sketches import (
         HyperLogLog,
         Welford,
@@ -179,6 +198,7 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         new_quantile_sketch,
         quantile_sketch_from_bytes,
     )
+    from ..stages.exchange import exchange_reduce
     from ..stages.stats import _group_indices
 
     stat_cols = list(cfg.stat_columns)
@@ -241,6 +261,15 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         for c in stat_cols:
             t[f"wf_{c}"] = pa.array(rows[f"wf_{c}"], pa.binary())
             t[f"td_{c}"] = pa.array(rows[f"td_{c}"], pa.binary())
+        h = hash64(t["part_key"])
+        if cfg.merge_salt > 1:
+            # the salt is a deterministic hash of each partial's url-HLL
+            # bytes (unique per batch), so re-execution lands in the
+            # same bucket
+            salt = hash64(t["url_hll"]) % np.uint64(cfg.merge_salt)
+            t["salt"] = pa.array(salt.astype(np.int64))
+            h = h ^ salt
+        t["__k"] = pa.array(h.view(np.int64))
         return pa.table(t)
 
     def combine(group: pa.Table) -> pa.Table:
@@ -341,29 +370,42 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
             )
         return pa.Table.from_pylist(out)
 
+    def combine_salted(t: pa.Table) -> pa.Table:
+        """Level-1 reduce of one bucket: ``combine`` per (key, salt)
+        group, keyed for level 2 on ``hash64(part_key)``."""
+        out = []
+        for _, idx in _group_indices(t, "part_key"):
+            salts = t["salt"].to_numpy()[idx]
+            for s in np.unique(salts):
+                out.append(combine(t.take(pa.array(idx[salts == s]))))
+        if not out:
+            return pa.table({})
+        out = pa.concat_tables(out)
+        return out.append_column(
+            "__k", pa.array(hash64(out["part_key"]).view(np.int64))
+        )
+
+    def merge_keys(t: pa.Table) -> pa.Table:
+        """Level-2 (final) reduce of one bucket: ``merge`` per key, keys
+        in sorted order."""
+        groups = sorted(_group_indices(t, "part_key"), key=lambda g: g[0])
+        if not groups:
+            return pa.table({})
+        return pa.concat_tables(
+            [merge(t.take(pa.array(idx))) for _, idx in groups]
+        )
+
     partial_rows = featured.map_batches(
         partials, batch_format="pyarrow", batch_size=8192
     )
     if cfg.merge_salt > 1:
         # two-level salted merge (SURVEY.md §7.5.6): the hot key's
         # partial rows (one per batch — 10^8 of them at 10^12 rows)
-        # first fold within `merge_salt` buckets in parallel, then the
-        # final merge folds only `merge_salt` rows per key. The salt is
-        # a deterministic hash of each partial's url-HLL bytes (unique
-        # per batch), so re-execution lands in the same bucket.
-        def add_merge_salt(t: pa.Table) -> pa.Table:
-            salt = hash64(t["url_hll"]) % np.uint64(cfg.merge_salt)
-            return t.append_column("salt", pa.array(salt.astype(np.int64)))
-
-        level1 = (
-            partial_rows.map_batches(add_merge_salt, batch_format="pyarrow")
-            .groupby(["part_key", "salt"])
-            .map_groups(
-                lambda g: combine(g.drop_columns(["salt"])), batch_format="pyarrow"
-            )
-        )
-        return level1.groupby("part_key").map_groups(merge, batch_format="pyarrow")
-    return partial_rows.groupby("part_key").map_groups(merge, batch_format="pyarrow")
+        # first fold within `merge_salt` buckets in parallel (level 1 is
+        # keyed on hash64(part_key) ^ salt), then the final merge folds
+        # only `merge_salt` rows per key
+        partial_rows = exchange_reduce(partial_rows, "__k", combine_salted)
+    return exchange_reduce(partial_rows, "__k", merge_keys)
 
 
 _FUSED_SINGLETON: FusedFeatures | None = None
@@ -739,9 +781,18 @@ def _run_referential(input_path, cfg, manifest, out_dir, parent_keys=None):
     """dst_url ⊆ webpages.url: HLL containment estimate first; exact
     violations via the broadcast/bucketed anti-join. ``parent_keys``
     (deduped url blocks harvested from the fused pass of a fresh full
-    run) skips the second parquet scan of the corpus entirely."""
+    run) skips the second parquet scan of the corpus entirely.
+
+    The violation set lands in ``violations/referential`` (clear →
+    write to tmp → rename, so a killed run's landing is replaced, never
+    mixed in). A set within ``broadcast_rows_budget()`` rows — dangling
+    refs are a tiny fraction by construction — comes to the driver and
+    is written there with ``pq.write_table``, so the anti-join is the
+    check's one execution; a larger set keeps ``write_parquet``."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from ..stages.blocks import arrow_block_refs_with_rows, dataset_from_refs
     from ..stages.constraints import broadcast_anti_join, referential_check
 
     refs = rd.read_parquet(cfg.refs_path)
@@ -752,12 +803,23 @@ def _run_referential(input_path, cfg, manifest, out_dir, parent_keys=None):
         parent = rd.read_parquet(input_path, columns=["url"])
         violations, est = referential_check(refs, parent, "dst_url", "url")
     vdir = os.path.join(out_dir, "violations", "referential")
+    refs_out, n_dangling, schema = arrow_block_refs_with_rows(violations)
+    if n_dangling is None:
+        n_dangling = sum(t.num_rows for t in ray.get(refs_out))
     shutil.rmtree(vdir, ignore_errors=True)
-    # violations are a tiny fraction by construction — materialize once,
-    # then count + write without re-executing the join
-    violations = violations.materialize()
-    n_dangling = violations.count()
-    violations.write_parquet(vdir)
+    tmp = vdir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    if n_dangling > broadcast_rows_budget():
+        dataset_from_refs(refs_out).write_parquet(tmp)
+    else:
+        tables = [t for t in ray.get(refs_out) if t.num_rows]
+        os.makedirs(tmp)
+        if tables or schema is not None:
+            pq.write_table(
+                pa.concat_tables(tables) if tables else schema.empty_table(),
+                os.path.join(tmp, "part-0.parquet"),
+            )
+    os.rename(tmp, vdir)
     n_refs = refs.count()  # parquet metadata only
     passed = n_dangling <= cfg.max_dangling_rate * max(n_refs, 1)
     evidence = {
@@ -863,26 +925,33 @@ def _run_wave(
         featured = featured_stream.materialize()
     _mark("fused+materialize")
 
-    # --- three independent consumers of the materialized feature table,
+    # --- independent consumers of the materialized feature table,
     # executed CONCURRENTLY (threads share the Ray cluster; the
     # streaming executor interleaves their tasks): (1) combined
     # partial+merge for stats/nulls/uniqueness — only sketch rows and
-    # counters cross its shuffle (SURVEY.md §2.5 G7); (2) extraction
-    # mismatch rows; (3) the windowed peak scorer (the one real
-    # data shuffle: groupby(part_key) sort) ---
+    # counters cross its raw-task exchange (SURVEY.md §2.5 G7); (2)
+    # extraction mismatch rows; (3) the windowed peak scorer (the one
+    # real data shuffle and the pass's only Ray Data sort); (4) the
+    # inline referential check ---
     from concurrent.futures import ThreadPoolExecutor
 
     viol_dir = os.path.join(out_dir, "violations")
     os.makedirs(viol_dir, exist_ok=True)
 
     def _merged():
-        return _combined_partials_merge(featured, cfg).to_pandas()
+        # stable key order whatever the exchange's bucket layout
+        return (
+            _combined_partials_merge(featured, cfg)
+            .to_pandas()
+            .sort_values("part_key", kind="stable")
+            .reset_index(drop=True)
+        )
 
     def _mismatches():
         """Distributed violation sink: flagged rows write straight to
-        the partitioned sidecar (never through the driver); only the
-        per-key counts come back."""
-        from ray.data.aggregate import Count
+        the partitioned sidecar (never through the driver). Their
+        per-key counts are rows − extract_matches of the merge, since
+        ``extract_match`` has no nulls, so nothing re-reads the rows."""
 
         def flag_rows(t: pa.Table) -> pa.Table:
             bad = t.filter(pc.invert(t["extract_match"])).select(
@@ -892,13 +961,8 @@ def _run_wave(
                 "violation", pa.array(["extract_mismatch"] * len(bad), pa.string())
             )
 
-        mism = featured.map_batches(flag_rows, batch_format="pyarrow")
-        mism.write_parquet(viol_dir, partition_cols=[cfg.part_key])
-        return (
-            mism.groupby(cfg.part_key)
-            .aggregate(Count(alias_name="n_mismatch"))
-            .to_pandas()
-            .set_index(cfg.part_key)
+        featured.map_batches(flag_rows, batch_format="pyarrow").write_parquet(
+            viol_dir, partition_cols=[cfg.part_key]
         )
 
     def _peaks():
@@ -947,16 +1011,11 @@ def _run_wave(
         """HLL-noise-aware exact uniqueness fallback (SURVEY.md
         §7.3.4): count ambiguous partitions' dups EXACTLY via an
         8-byte-hash bucket exchange (only those partitions' hashes
-        move; url values never do). Bucket count sized to ~64 MB of
-        (key, hash) rows per group — 32 buckets at bench scale where
-        group overhead dominates, ~250k at 10^12 rows. Runs inside the
-        wave's thread pool, overlapped with the peak/mismatch/
-        referential consumers."""
+        move; url values never do; the exchange sizes its fan-out to
+        the data). Runs inside the wave's thread pool, overlapped with
+        the peak/mismatch/referential consumers."""
         from ..stages.constraints import exact_dup_counts
 
-        amb_rows = int(
-            uniq_tbl[uniq_tbl["part_key"].isin(ambiguous)]["rows"].sum()
-        )
         transform = None
         if cfg.normalize_urls:
             from ..stages.textstage import normalize_url_array
@@ -967,7 +1026,6 @@ def _run_wave(
             "url",
             cfg.part_key,
             ambiguous,
-            n_buckets=max(32, amb_rows // 4_000_000),
             transform=transform,
         )
         for pk, nd in exact.items():
@@ -1003,7 +1061,7 @@ def _run_wave(
             if ambiguous
             else None
         )
-        mismatch_counts = f_mismatch.result()
+        f_mismatch.result()
         _mark("mismatches")
         peak_counts = f_peaks.result()
         _mark("peaks")
@@ -1057,8 +1115,8 @@ def _run_wave(
         p_stats = stats_tbl[stats_tbl["part_key"] == p]
         p_uniq = uniq_tbl[uniq_tbl["part_key"] == p]
         n_mismatch = (
-            int(mismatch_counts.loc[p, "n_mismatch"])
-            if p in mismatch_counts.index
+            int(flags.loc[p, "rows"] - flags.loc[p, "extract_matches"])
+            if p in flags.index
             else 0
         )
         n_peaks = (
@@ -1142,19 +1200,18 @@ def _run_wave(
 
 
 def _harvest_urls(featured):
-    """Referential parent side from the slim table: per-block unique,
-    only deduped url blocks reach the driver."""
-    import ray
-
-    refs_blocks = (
-        featured.select_columns(["url"])
-        .map_batches(
-            lambda t: pa.table({"url": pc.unique(t["url"]).drop_null()}),
-            batch_format="pyarrow",
-        )
+    """Referential parent side from the slim table: one raw unique task
+    per block of ``featured`` (no Ray Data execution when it is
+    materialized), so only deduped url arrays reach the driver."""
+    uniq = ray.get(
+        [_unique_urls.remote(r) for r in arrow_block_refs(featured)]
     )
-    refs_blocks = arrow_block_refs(refs_blocks)
-    return [t["url"] for t in ray.get(refs_blocks) if t.num_rows]
+    return [u for u in uniq if len(u)]
+
+
+@ray.remote
+def _unique_urls(t: pa.Table) -> pa.Array:
+    return pc.unique(t["url"]).drop_null()
 
 
 def _load_verdicts(out_dir: str):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 GLOBAL = "__all__"
 
@@ -194,7 +195,10 @@ def pack_chunks(
     cut every ``chunk_tokens``; each doc gets its chunk span
     (``chunk_start``/``chunk_end``, inclusive — docs may straddle a
     boundary) and its offset inside the first chunk. Zero-token docs
-    get the empty span at their position (start == end, offset kept).
+    get the empty span at their position (start == end, offset kept);
+    so does a doc whose token count is null, which keeps its null count
+    and adds nothing to the running total (the SQL twin's ``SUM`` skips
+    the NULL and ``GREATEST(NULL, 1)`` is 1).
 
     Distributed prefix sum, fully closed-form (no sequential chain):
     ``sort(key, id)`` makes every block a contiguous ordered slice;
@@ -236,7 +240,7 @@ def pack_chunks(
         if block.num_rows == 0:
             return []
         keys = _keys_of(block)
-        toks = block[tokens_col].to_numpy(zero_copy_only=False)
+        toks = pc.fill_null(block[tokens_col], 0).to_numpy(zero_copy_only=False)
         starts = np.flatnonzero(
             np.concatenate([[True], keys[1:] != keys[:-1]])
         )
@@ -264,7 +268,11 @@ def pack_chunks(
         if block.num_rows == 0:
             return out_schema.empty_table()
         keys = _keys_of(block)
-        toks = block[tokens_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        toks = (
+            pc.fill_null(block[tokens_col], 0)
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
         starts = np.flatnonzero(
             np.concatenate([[True], keys[1:] != keys[:-1]])
         )
@@ -280,7 +288,7 @@ def pack_chunks(
         cols = {id_col: block[id_col].cast(pa.int64())}
         if key_col:
             cols[key_col] = block[key_col]
-        cols[tokens_col] = pa.array(toks)
+        cols[tokens_col] = block[tokens_col].cast(pa.int64())
         cols["chunk_start"] = pa.array(prev // B)
         cols["chunk_end"] = pa.array((prev + np.maximum(toks, 1) - 1) // B)
         cols["chunk_offset"] = pa.array(prev % B)

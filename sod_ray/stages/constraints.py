@@ -358,22 +358,24 @@ def exact_dup_counts(
     column: str,
     key: str,
     keys: list[str],
-    n_buckets: int = 1024,
+    n_buckets: int | None = None,
     transform=None,
 ) -> dict[str, int]:
     """Exact per-partition duplicate-ROW counts for the given partition
     keys, hash-only: each surviving row ships an 8-byte ``hash64``
-    of ``column`` into a bucket exchange (the column's values never
-    move), per-bucket dups are counted vectorized (size − nunique per
-    partition), and only tiny (bucket, key, n_dup) count rows reach the
-    driver. Equal values always share a bucket, so summing per-bucket
-    excesses is exact: Σ_b (n_b − u_b) = n − u.
+    of ``column`` into an ``exchange_reduce`` keyed on that hash (the
+    column's values never move), per-bucket dups are counted vectorized
+    (size − distinct hashes per partition), and only tiny (key, n_dup)
+    count rows reach the driver. Equal values always share a bucket, so
+    summing per-bucket excesses is exact: Σ_b (n_b − u_b) = n − u.
+    ``n_buckets`` is the exchange's ``num_buckets`` (None sizes it to
+    the data).
 
     64-bit hash collisions inflate a partition's count by ~n²/2⁻⁶⁴
     expected rows — negligible below ~10⁹ rows/partition; beyond that
     verify colliding candidates against values (referential pattern).
     """
-    import pandas as pd
+    from .exchange import exchange_reduce
 
     value_set = pa.array(sorted(set(keys)), pa.string())
 
@@ -382,33 +384,39 @@ def exact_dup_counts(
         col = sub[column]
         if transform is not None:  # e.g. URL canonicalization
             col = transform(col)
-        h = hash64(col)
-        return pa.table(
-            {
-                key: sub[key],
-                "h": pa.array(h),
-                "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
-            }
-        )
+        return pa.table({key: sub[key], "h": pa.array(hash64(col))})
 
     hashed = ds.select_columns([key, column]).map_batches(
         to_hashes, batch_format="pyarrow"
     )
 
-    def count_dups(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(key)["h"].agg(n="size", u="nunique")
-        out = (g["n"] - g["u"]).astype("int64").reset_index(name="n_dup")
-        out = out[out["n_dup"] > 0][[key, "n_dup"]]
-        return out
+    def count_dups(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.table(
+                {key: pa.array([], pa.string()), "n_dup": pa.array([], pa.int64())}
+            )
+        enc = t[key].combine_chunks().dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        h = t["h"].to_numpy()
+        order = np.lexsort((h, codes))
+        cs, hs = codes[order], h[order]
+        new = np.ones(len(cs), dtype=bool)
+        new[1:] = (cs[1:] != cs[:-1]) | (hs[1:] != hs[:-1])
+        n_dup = np.bincount(cs[~new], minlength=len(enc.dictionary))
+        has = np.flatnonzero(n_dup)
+        return pa.table(
+            {
+                key: enc.dictionary.take(pa.array(has)).cast(pa.string()),
+                "n_dup": pa.array(n_dup[has], pa.int64()),
+            }
+        )
 
-    counts = hashed.groupby("bucket").map_groups(
-        count_dups, batch_format="pandas"
-    )
-    pdf = counts.to_pandas()
+    counts = exchange_reduce(hashed, "h", count_dups, num_buckets=n_buckets)
     totals = {k: 0 for k in keys}
-    if len(pdf):
-        for k, v in pdf.groupby(key)["n_dup"].sum().items():
-            totals[str(k)] = int(v)
+    for t in ray.get(arrow_block_refs(counts)):
+        if t.num_rows:
+            for k, v in zip(t[key].to_pylist(), t["n_dup"].to_pylist()):
+                totals[str(k)] += v
     return totals
 
 

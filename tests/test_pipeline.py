@@ -82,15 +82,31 @@ def test_full_run_and_resume(ray_session, web_dir, tmp_path):
         assert v3.loc[p, "rows"] == v.loc[p, "rows"]
 
 
+def _op_chain(op) -> str:
+    """'Input -> Read... -> MapBatches(...)' for one executed DAG."""
+    names = []
+
+    def walk(o):
+        for d in o.input_dependencies:
+            walk(d)
+        names.append(o.name)
+
+    walk(op)
+    return " -> ".join(names)
+
+
 def test_run_validation_execution_budget(
     ray_session, web_dir, tmp_path, monkeypatch
 ):
     """One validation run over the shared web fixture (default config
     plus the refs check, the validate_lang benchmark's shape) launches
-    at most 9 Ray Data executions (streaming-executor runs, counted by
-    patching ``StreamingExecutor.execute`` as perfbench's tracer does).
+    at most 6 Ray Data executions (streaming-executor runs, counted by
+    patching ``StreamingExecutor.execute`` as perfbench's tracer does):
+    the fused scan, the sketch partials, the peaks sort, the mismatch
+    sink, the exact-uniqueness hashes and the referential anti-join.
     The count is deterministic for one input and session size, so a
-    new execution in the run fails here without timing noise."""
+    new execution in the run fails here without timing noise, and the
+    failure lists every execution's operator chain."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -99,19 +115,64 @@ def test_run_validation_execution_budget(
 
     src, truth = web_dir
     execute = StreamingExecutor.execute
-    calls = []
+    chains = []
 
-    def counted(self, *args, **kw):
-        calls.append(1)
-        return execute(self, *args, **kw)
+    def counted(self, dag, *args, **kw):
+        chains.append(_op_chain(dag))
+        return execute(self, dag, *args, **kw)
 
     cfg = ValidateConfig(refs_path=f"{src}/webpage_refs")
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
-    n_exec = len(calls)
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
-    assert n_exec <= 9
+    assert len(chains) <= 6, "\n".join(chains)
+
+
+def test_referential_clears_stale_landing(ray_session, web_dir, tmp_path):
+    """A killed run can leave a landed ``violations/referential`` (and
+    its ``.tmp``) without the referential manifest commit. The rerun,
+    on the resumed two-sided path and on a fresh run's fused path,
+    clears both and reports the same ``n_dangling`` with exactly the
+    planted dangling rows on disk."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from sod_ray.pipelines.validate import ValidateConfig, run_validation
+
+    src, truth = web_dir
+    out = str(tmp_path / "outK")
+    cfg = ValidateConfig(refs_path=f"{src}/webpage_refs")
+    first = run_validation(f"{src}/webpages", out, cfg)
+    vdir = os.path.join(out, "violations", "referential")
+    stale = pa.table(
+        {"src_url": ["http://stale.test/a"], "dst_url": ["http://stale.test/b"]}
+    )
+
+    def plant_stale():
+        pq.write_table(stale, os.path.join(vdir, "stale.parquet"))
+        os.makedirs(vdir + ".tmp", exist_ok=True)
+        pq.write_table(stale, os.path.join(vdir + ".tmp", "stale.parquet"))
+
+    def landed_dst():
+        files = glob.glob(os.path.join(vdir, "*.parquet"))
+        return sorted(
+            u for f in files for u in pq.read_table(f)["dst_url"].to_pylist()
+        )
+
+    plant_stale()
+    os.unlink(os.path.join(out, "manifest", "part-__referential__.json"))
+    resumed = run_validation(f"{src}/webpages", out, cfg)
+    plant_stale()
+    fresh = run_validation(f"{src}/webpages", out, cfg, resume=False)
+    assert fresh.referential["exact_path"] == "broadcast_fused"
+    for res in (resumed, fresh):
+        assert res.referential["n_dangling"] == first.referential["n_dangling"]
+    assert first.referential["n_dangling"] == len(truth["refs"]["dangling"])
+    assert sorted(set(landed_dst())) == truth["refs"]["dangling"]
+    assert len(landed_dst()) == first.referential["n_dangling"]
+    assert not os.path.exists(vdir + ".tmp")
 
 
 def test_verdicts_detect_planted_anomalies(ray_session, web_dir, tmp_path):
@@ -561,6 +622,42 @@ def test_docs_pack_chunks_matches_oracle_dtypes(ray_session, tmp_path):
     # that starts mid-doc
     assert ((out["chunk_end"] - out["chunk_start"]) >= 2).any()
     assert (out["chunk_offset"] > 0).any()
+
+
+def test_docs_pack_chunks_null_text_matches_oracle(ray_session, tmp_path):
+    """A null text has a NULL token count in PACK_CHUNKS_SQL; its span
+    is computed as for 0 tokens (``GREATEST`` skips the NULL) and the
+    running sum skips it. docs_pack_chunks gives the same rows, the null
+    doc's included: (2, 'en', None, 0, 0, 2)."""
+    import duckdb
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from sod_ray.pipelines.queries import PACK_CHUNKS_SQL, docs_pack_chunks
+
+    texts = ["a b", None, "c", ""]
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+            "lang": pa.array(["en"] * 4, pa.string()),
+            "source": pa.array(["t"] * 4, pa.string()),
+            "text": pa.array(texts, pa.string()),
+            "n_chars": pa.array([3, None, 1, 0], pa.int64()),
+        }
+    )
+    pq.write_table(tbl, str(tmp_path / "documents.parquet"))
+    out = docs_pack_chunks(str(tmp_path)).to_pandas()
+    documents = tbl  # noqa: F841 (the SQL reads it by name)
+    ref = (
+        duckdb.sql(PACK_CHUNKS_SQL)
+        .df()
+        .sort_values(["lang", "doc_id"])
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(out[list(ref.columns)], ref, check_dtype=True)
+    row = out[out["doc_id"] == 2].iloc[0]
+    assert pd.isna(row["n_tokens"])
+    assert (row["chunk_start"], row["chunk_end"], row["chunk_offset"]) == (0, 0, 2)
 
 
 def test_q3_join_matches_oracle_without_native_join(

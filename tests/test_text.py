@@ -99,9 +99,11 @@ def test_extract_text_arrow_parity():
     assert extract_text_arrow(arr).to_pylist() == [extract_text(c) for c in cases]
 
 
-def test_extract_arrow_fused_and_entity_paths_parity():
-    """Both extract_text_arrow paths (entity-free fused single-pass and
-    the sequential entity path) must match extract_text byte-for-byte."""
+def test_extract_arrow_parity():
+    """extract_text_arrow's one path (tag alternation, entity decode when
+    a batch holds an ``&``, collapse of only the whitespace runs that
+    change) must match extract_text byte-for-byte, on batches with and
+    without entities."""
     import pyarrow as pa
 
     from sod_ray.functions.text import extract_text, extract_text_arrow
@@ -122,7 +124,33 @@ def test_extract_arrow_fused_and_entity_paths_parity():
         b"&amp;&amp;&amp;",
         b"mixed <b>&lt;literal&gt;</b> \t tags",
     ]
-    for batch in (entity_free, with_entities, entity_free + with_entities):
+    # cases only the run-collapse pattern ([ws]{2,} | one non-space ws)
+    # could get wrong: one \t/\n (or \r, \f, \v) alone between words,
+    # a tag next to a single space, an entity inside a whitespace run,
+    # script blocks separated by whitespace
+    collapse = [
+        b"one\ttab",
+        b"one\nnewline",
+        b"cr\rff\fvt\vend",
+        b"single space",
+        b"tag <b>next</b> to space",
+        b"x <br> y",
+        b"<i>a</i> <i>b</i>",
+        b"\tlead and trail\n",
+        b"run \t\n of mixed",
+        b"a \t&amp;\n b",
+        b"a &nbsp; b",
+        b"a&nbsp;\tb",
+        b"<script>x</script> <script>y</script>\n<script>z</script>kept",
+        b"<style>p{}</style>\t<script>q</script> text",
+    ]
+    for batch in (
+        entity_free,
+        with_entities,
+        entity_free + with_entities,
+        collapse,
+        [c for c in collapse if b"&" not in c],
+    ):
         got = extract_text_arrow(pa.array(batch, pa.binary())).to_pylist()
         want = [extract_text(h) for h in batch]
         assert got == want, (got, want)
