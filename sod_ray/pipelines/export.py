@@ -18,12 +18,16 @@ must:
   ({"node": int64}, 8 B/doc) and checkpointed to
   ``out_dir/decisions/<stage>/`` with a manifest commit, so a killed
   run resumes without re-running the expensive scans;
-- stages are SEQUENTIAL (each decision scan applies the accumulated
-  drop-set first, via broadcast searchsorted or the bucketed
-  anti-join), so e.g. an exact-dup group whose canonical member failed
-  the quality filter still keeps its next-lowest surviving member —
-  the semantics a sequential SQL pipeline (and the DuckDB oracle twin)
-  produces;
+- the quality, exact and near-dup decisions share ONE text scan: it
+  lands slim per-doc feature rows (Gopher fail flag, md5 key, MinHash
+  signature), and each of the three reads those rows instead of the
+  corpus;
+- stages are SEQUENTIAL (each decision applies the accumulated
+  drop-set to its input first, via broadcast searchsorted or the
+  bucketed anti-join), so e.g. an exact-dup group whose canonical
+  member failed the quality filter still keeps its next-lowest
+  surviving member — the semantics a sequential SQL pipeline (and the
+  DuckDB oracle twin) produces;
 - each decision reads ONLY the columns it needs (url dedup never
   touches text; exact dedup shuffles 16-byte md5 keys, never text;
   near-dup shuffles band hashes per stages/dedup.py);
@@ -45,6 +49,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..state.manifest import Manifest, PartitionRecord
 
@@ -172,7 +177,6 @@ def _write_decision(drop_ds, pdir: str, budget: int):
     Returns (drop, n): the int64 id array for a set within budget, else
     the lazy checkpoint Dataset."""
     import pyarrow.parquet as pq
-    import ray
 
     from ..stages.blocks import arrow_block_refs_with_rows
 
@@ -249,21 +253,25 @@ def _summarize_cfg(cfg: CurateConfig) -> dict:
 
 
 def _loser_nodes(d, key_col: str, node_col: str = "node"):
-    """Vectorized keep-min-id loser selection over slim (node, key)
-    rows: hash-exchange by hash64(key) then ONE sort + shifted-compare
-    per bucket — every row that is not the first of its key group is a
-    loser (key strings are compared only where the 64-bit hashes
-    collide, so collisions cannot merge distinct keys). Replaces
+    """Vectorized keep-min-id loser selection over the (node, key)
+    columns of ``d``: hash-exchange by hash64(key) then ONE sort +
+    shifted-compare per bucket — every row that is not the first of its
+    key group is a loser (key strings are compared only where the
+    64-bit hashes collide, so collisions cannot merge distinct keys). Replaces
     ``groupby(key).map_groups(losers)``, which paid a Python call per
     distinct key (≈ per doc at corpus scale)."""
+    from ..stages.blocks import map_blocks
     from ..stages.exchange import exchange_reduce
     from ..state.sketches import hash64
 
     def add_kh(t: pa.Table) -> pa.Table:
+        if key_col not in t.column_names:  # schema-less empty block
+            return t
+        t = t.select([node_col, key_col])
         kh = hash64(t[key_col].combine_chunks()).view(np.int64)
         return t.append_column("__kh", pa.array(kh, pa.int64()))
 
-    keyed = d.map_batches(add_kh, batch_format="pyarrow")
+    keyed = map_blocks(d, add_kh)
 
     def losers_bucket(t: pa.Table) -> pa.Table:
         empty = pa.table({node_col: pa.array([], pa.int64())})
@@ -336,6 +344,90 @@ def _pack_token_rows(
     return pa.table(out)
 
 
+@ray.remote
+def _column_sums(path: str, cols: list[str]) -> list[int]:
+    """Sum of each of ``cols`` over one parquet file (nulls count 0)."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=cols)
+    return [int(pc.sum(t[c]).as_py() or 0) for c in cols]
+
+
+def _md5_keys(texts) -> pa.Array:
+    """md5 hex key of every text. There is no Arrow md5 kernel — the one
+    per-row loop of the funnel emits only the 32-byte hex; text never
+    leaves the scan task. Null text gets a sentinel distinct from
+    md5("") so null-text and empty-text docs stay separate groups,
+    matching the SQL twin's GROUP BY md5(text) (all NULLs group
+    together, apart from the '' group)."""
+    import hashlib
+
+    return pa.array(
+        [
+            hashlib.md5(s.encode("utf-8")).hexdigest()
+            if s is not None
+            else "\x00null"
+            for s in texts.to_pylist()
+        ],
+        pa.string(),
+    )
+
+
+def _feature_rows(
+    text_col: str, id_col: str, quality: bool, exact: bool, sig_kw: dict | None
+):
+    """The export funnel's one text scan: batch (id, text) → one slim
+    row per doc: ``node`` (int64 id), and for each decision still to
+    compute its feature — ``qfail`` (the Gopher quality flag failed),
+    ``h`` (the md5 key of ``_md5_keys``) and ``pl`` (the MinHash
+    signature payload of ``dedup._sig_rows`` with ``sig_kw``). With
+    ``quality``, ``h`` and ``pl`` are built only for the docs that pass
+    it (null for the rest): a failing doc is dropped before the exact
+    and near-dup decisions read the rows."""
+    from ..stages.dedup import _sig_rows
+    from ..stages.textstage import gopher_stats_batch
+
+    encode = None if sig_kw is None else _sig_rows(text_col, id_col, **sig_kw)
+
+    def features(t: pa.Table) -> pa.Table:
+        cols = {"node": t[id_col].cast(pa.int64())}
+        sub, back = t, None
+        if quality:
+            ok = gopher_stats_batch(t, text_col, id_col)["quality_pass"]
+            ok = ok.to_numpy(zero_copy_only=False).astype(bool)
+            cols["qfail"] = pa.array(~ok)
+            sub = t.filter(pa.array(ok))
+            # each row's position among the passing rows, null if failing
+            back = pa.array(np.cumsum(ok) - 1, mask=~ok)
+        if exact:
+            h = _md5_keys(sub[text_col])
+            cols["h"] = h if back is None else h.take(back)
+        if encode is not None:
+            pl = encode(sub)["pl"]
+            cols["pl"] = pl if back is None else pl.take(back)
+        return pa.table(cols)
+
+    return features
+
+
+def _failing_nodes(t: pa.Table) -> pa.Table:
+    """Quality decision over feature rows: the ids whose ``qfail`` is set."""
+    if "qfail" not in t.column_names:  # schema-less empty block
+        return pa.table({"node": pa.array([], pa.int64())})
+    return pa.table({"node": t.filter(t["qfail"])["node"]})
+
+
+def _sig_payload(t: pa.Table) -> pa.Table:
+    """Near-dup input over feature rows: the (id, pl) signature rows of
+    the docs that carry one."""
+    if "pl" not in t.column_names:  # schema-less empty block
+        t = pa.table(
+            {"node": pa.array([], pa.int64()), "pl": pa.array([], pa.binary())}
+        )
+    t = t.filter(pc.is_valid(t["pl"]))
+    return pa.table({"id": t["node"], "pl": t["pl"]})
+
+
 def run_export(
     input_path: str,
     out_dir: str,
@@ -343,6 +435,22 @@ def run_export(
     resume: bool = True,
 ) -> ExportResult:
     """Run the curation funnel over a documents/webpages parquet dir.
+
+    The quality, exact and near-dup decisions share one scan of the
+    (id, text) columns: a single ``map_batches`` (``_feature_rows``)
+    lands one slim row per doc — the Gopher fail flag, the md5 key and
+    the MinHash signature payload, each only while its decision is
+    still to compute, and the md5 key and signature only for the docs
+    that pass quality in the same batch (a failing doc never reaches
+    the later decisions). The landing goes through ``land`` with the
+    ``spill`` of ``cfg.lsh_kwargs``, like the signature landing of the
+    near-dup chain. Each of the three decisions then reads those rows,
+    filtered by the drops so far with the survivors helper the corpus
+    scans use, and maps them with raw tasks (``blocks.map_blocks``):
+    no decision rescans the corpus. A resumed run rebuilds the rows
+    over the corpus filtered by the committed decisions. The other
+    decisions (url, decontamination, overlap, DSIR, token budget) scan
+    the columns they need themselves.
 
     Output layout::
 
@@ -354,13 +462,10 @@ def run_export(
     """
     import ray.data as rd
 
+    from ..stages.blocks import map_blocks
     from ..stages.dedup import apply_drops, neardup_drop_ids
-    from ..stages.exchange import sorted_lookup
-    from ..stages.textstage import (
-        gopher_stats_batch,
-        normalize_url_array,
-        redact_pii_batch,
-    )
+    from ..stages.exchange import land, sorted_lookup
+    from ..stages.textstage import normalize_url_array, redact_pii_batch
 
     cfg = cfg or CurateConfig()
     if cfg.url_dedup and not cfg.url_col:
@@ -421,11 +526,9 @@ def run_export(
     # accumulated drop-set across sequential decision stages. Small
     # drop-sets are pulled ONCE into a merged sorted int64 array and
     # broadcast ONCE per change (ray.put) — every later scan filters in
-    # a single searchsorted map_batches pass instead of chained
-    # anti-joins. Oversized drop-sets (> broadcast_limit) stay as slim
-    # Datasets and go through the bucketed exchange anti-join.
-    import ray
-
+    # a single searchsorted pass instead of chained anti-joins.
+    # Oversized drop-sets (> broadcast_limit) stay as slim Datasets and
+    # go through the bucketed exchange anti-join.
     acc_ids: list[np.ndarray] = []
     acc_big: list = []  # (Dataset, n) pairs too large to broadcast
     acc_n = 0
@@ -436,23 +539,61 @@ def run_export(
             _merged_ref[0] = ray.put(np.sort(np.concatenate(acc_ids)))
         return _merged_ref[0]
 
-    def filtered(columns: list[str] | None):
-        """Column-pruned corpus view with all prior drops applied."""
-        ds = rd.read_parquet(input_path, columns=columns)
+    def survivors(ds, key: str):
+        """The rows of ``ds`` whose ``key`` no prior decision dropped."""
         ref = _drops_ref()
         if ref is not None:
 
             def keep_batch(t: pa.Table) -> pa.Table:
-                ids = t[id_col].to_numpy(zero_copy_only=False)
+                if key not in t.column_names:  # schema-less empty block
+                    return t
+                ids = t[key].to_numpy(zero_copy_only=False)
                 member, _ = sorted_lookup(ray.get(ref), ids)
                 return t.filter(pa.array(~member))
 
-            ds = ds.map_batches(keep_batch, batch_format="pyarrow")
+            ds = map_blocks(ds, keep_batch)
         for d, n in acc_big:
             ds = apply_drops(
-                ds, d, id_col, broadcast_limit=cfg.broadcast_limit, n_drop=n
+                ds, d, key, broadcast_limit=cfg.broadcast_limit, n_drop=n
             )
         return ds
+
+    def filtered(columns: list[str] | None):
+        """Column-pruned corpus view with all prior drops applied."""
+        return survivors(rd.read_parquet(input_path, columns=columns), id_col)
+
+    def resumed(name: str) -> bool:
+        return f"decision:{name}" in committed and os.path.isdir(
+            os.path.join(ddir, name)
+        )
+
+    spill = cfg.lsh_kwargs.get("spill")
+    feats = []  # the landed feature rows, once the first reader asks
+
+    def features():
+        """Survivors among the funnel's per-doc feature rows; the first
+        call scans the corpus and lands the rows."""
+        if not feats:
+            quality = cfg.quality_filter and not resumed("quality")
+            sig_kw = None
+            if cfg.neardup and not resumed("neardup"):
+                sig_kw = {
+                    k: cfg.lsh_kwargs[k]
+                    for k in ("n_perm", "shingle_k", "seed")
+                    if k in cfg.lsh_kwargs
+                }
+            fn = _feature_rows(
+                text_col,
+                id_col,
+                quality,
+                cfg.exact_dedup and not resumed("exact"),
+                sig_kw,
+            )
+            scan = filtered([id_col, text_col]).map_batches(
+                fn, batch_format="pyarrow"
+            )
+            feats.append(land(scan, spill, "features"))
+        return survivors(feats[0], "node")
 
     def decision(name: str, compute):
         """Checkpointed decision stage: recompute or reload the slim
@@ -463,7 +604,7 @@ def run_export(
         key = f"decision:{name}"
         pdir = os.path.join(ddir, name)
         t0 = time.perf_counter()
-        if key in committed and os.path.isdir(pdir):
+        if resumed(name):
             drop, n = _load_decision(pdir, _drop_budget(cfg))
             report["resumed_stages"].append(name)
         else:
@@ -492,20 +633,7 @@ def run_export(
 
     # ---- decision stages, in funnel order -------------------------------
     if cfg.quality_filter:
-
-        def quality_drops():
-            base = filtered([id_col, text_col])
-
-            def fail_ids(t: pa.Table) -> pa.Table:
-                g = gopher_stats_batch(t, text_col, id_col)
-                bad = pc.invert(g["quality_pass"].combine_chunks())
-                return pa.table(
-                    {"node": g.filter(bad)[id_col].cast(pa.int64())}
-                )
-
-            return base.map_batches(fail_ids, batch_format="pyarrow")
-
-        decision("quality", quality_drops)
+        decision("quality", lambda: map_blocks(features(), _failing_nodes))
 
     if cfg.url_dedup:
 
@@ -531,34 +659,7 @@ def run_export(
         decision("url", url_drops)
 
     if cfg.exact_dedup:
-
-        def exact_drops():
-            import hashlib
-
-            base = filtered([id_col, text_col])
-
-            def add_hash(t: pa.Table) -> pa.Table:
-                # no Arrow md5 kernel — the one per-row loop here emits
-                # only (id, 32-byte hex); text never leaves the scan
-                # task. Null text gets a sentinel distinct from md5("")
-                # so null-text and empty-text docs stay separate groups,
-                # matching the SQL twin's GROUP BY md5(text) (all NULLs
-                # group together, apart from the '' group).
-                h = [
-                    hashlib.md5(s.encode("utf-8")).hexdigest()
-                    if s is not None
-                    else "\x00null"
-                    for s in t[text_col].to_pylist()
-                ]
-                return pa.table(
-                    {"node": t[id_col].cast(pa.int64()), "h": pa.array(h)}
-                )
-
-            return _loser_nodes(
-                base.map_batches(add_hash, batch_format="pyarrow"), "h"
-            )
-
-        decision("exact", exact_drops)
+        decision("exact", lambda: _loser_nodes(features(), "h"))
 
     if cfg.decontaminate_texts:
 
@@ -579,16 +680,17 @@ def run_export(
     if cfg.neardup:
 
         def near_drops():
-            base = filtered([id_col, text_col])
             return neardup_drop_ids(
-                base,
-                text_col,
-                id_col,
+                map_blocks(features(), _sig_payload),
+                None,
+                "id",
                 jaccard_threshold=cfg.jaccard_threshold,
                 **cfg.lsh_kwargs,
             )
 
         decision("neardup", near_drops)
+    if feats and spill is not None:
+        spill.free("features")  # the near-dup decision was its last reader
 
     if cfg.overlap_dedup:
 
@@ -617,7 +719,6 @@ def run_export(
             )
 
         def dsir_drops():
-            import ray
 
             from ..stages.dsir import (
                 dsir_log_ratio,
@@ -791,25 +892,22 @@ def run_export(
     report["rows_dropped"] = acc_n
 
     if cfg.pii_redact:  # totals from the output's slim columns
-        from ..stages.blocks import arrow_block_refs
-
         pii_cols = ["n_emails", "n_phones", "n_ips"]
-        totals = dict.fromkeys(pii_cols, 0)
+        totals = np.zeros(len(pii_cols), np.int64)
         if n_out:
-            # one map emitting per-block sums, added up on the driver:
-            # Dataset.sum would run an all-to-all Aggregate plus a
-            # limit=1 plan
-            def block_sums(t: pa.Table) -> pa.Table:
-                return pa.table({c: [pc.sum(t[c]).as_py() or 0] for c in pii_cols})
-
-            sums = rd.read_parquet(corpus_dir, columns=pii_cols).map_batches(
-                block_sums, batch_format="pyarrow"
-            )
-            for t in ray.get(arrow_block_refs(sums)):
-                for c in pii_cols:
-                    if c in t.column_names:
-                        totals[c] += pc.sum(t[c]).as_py() or 0
-        report["pii"] = {k: int(totals[f"n_{k}"]) for k in ("emails", "phones", "ips")}
+            # one raw task per written file reads only the count columns
+            # and returns their sums, added up on the driver
+            files = [
+                os.path.join(d, f)
+                for d, _, names in os.walk(corpus_dir)
+                for f in names
+                if f.endswith(".parquet")
+            ]
+            for sums in ray.get([_column_sums.remote(f, pii_cols) for f in files]):
+                totals += sums
+        report["pii"] = {
+            k: int(v) for k, v in zip(("emails", "phones", "ips"), totals)
+        }
 
     if cfg.pack_chunk_tokens is not None:
         chunks_dir = os.path.join(out_dir, "chunks")
@@ -1133,7 +1231,6 @@ def rebuild_bloom_sidecar_parallel(shard_paths: list[str], bits: int):
     rebuilt sidecar is bit-identical to the sequential build
     (parity-tested)."""
     import pyarrow.parquet as pq
-    import ray
 
     from ..state.sketches import BloomFilter, hash64
 
@@ -1263,7 +1360,6 @@ def run_export_incremental(
     OR-merges, and a missing sidecar (pre-bloom index) is rebuilt from
     all shards at the next append — probing just falls back to the
     full anti-join until then."""
-    import ray
     import ray.data as rd
 
     from ..sources.landing import LandingZone
@@ -1328,15 +1424,7 @@ def run_export_incremental(
         save_bloom_sidecar(index_dir, bf)
 
     def _md5_col(t: pa.Table) -> pa.Table:
-        import hashlib as _hl
-
-        h = [
-            _hl.md5(s.encode("utf-8")).hexdigest()
-            if s is not None
-            else "\x00null"
-            for s in t[text_col].to_pylist()
-        ]
-        return t.append_column("__h", pa.array(h, pa.string()))
+        return t.append_column("__h", _md5_keys(t[text_col]))
 
     def _stage_batch(paths: list[str], staged: str, rid: str) -> None:
         tmp = staged + ".tmp"

@@ -35,6 +35,7 @@ from .blocks import (
     arrow_block_refs,
     arrow_block_refs_with_rows,
     dataset_from_refs,
+    map_blocks,
 )
 from .cc import connected_components_bucketed
 from .exchange import (
@@ -527,22 +528,35 @@ def minhash_lsh_dedup(
     both verify joins run disk-backed. Each landing is freed after its
     last reader; results are identical (parity-tested).
 
+    ``text_col=None``: ``ds`` already holds the chain's (id, pl)
+    signature rows, as :func:`_sig_rows` builds them (``id_col`` is
+    then ignored), so a caller that computes them inside its own scan
+    of the corpus (the export funnel's feature scan) skips the
+    signature scan here; ``n_perm``, ``shingle_k`` and ``seed`` must be
+    the ones the rows were built with.
+
     Returns the verified pairs as a Dataset of (id_a int64, id_b int64,
     jaccard_est float64), id_a < id_b, one row per pair in no set
     order: the form downstream distributed consumers (connected
     components, corpus dedup) want, since a web corpus' pair list need
     not fit on the driver."""
+    encode = None
+    if text_col is not None:
+        encode = _sig_rows(text_col, id_col, n_perm, shingle_k, seed)
     return _lsh_chain(
-        ds, "sigs", _sig_rows(text_col, id_col, n_perm, shingle_k, seed),
+        ds, "sigs", encode,
         np.uint64, lambda sig: _band_hashes(sig, bands), _sig_agreement,
         "jaccard_est", jaccard_threshold, max_bucket_size, pair_emission,
         spill,
     )
 
 
-def _sig_rows(text_col: str, id_col: str, n_perm: int, shingle_k: int, seed: int):
+def _sig_rows(
+    text_col: str, id_col: str, n_perm: int = 64, shingle_k: int = 3,
+    seed: int = 1337,
+):
     """The MinHash payload encoder: batch → (id, pl) rows, ``pl`` each
-    doc's signature as n_perm uint64s."""
+    doc's signature as n_perm uint64s (defaults: ``minhash_lsh_dedup``'s)."""
 
     def encode(batch: pa.Table) -> pa.Table:
         sig = minhash_signatures(batch[text_col], n_perm, shingle_k, seed)
@@ -603,13 +617,15 @@ def _lsh_chain(
 ):
     """The LSH near-dup chain of the MinHash and embedding families.
     Each family supplies only ``encode`` (batch → (id, pl) payload rows,
-    ``pl`` a fixed-width row of ``dtype``), ``band_keys`` ((n, width)
-    payload → (n, tables) uint64 bucket keys) and ``score`` (two payload
-    matrices → per-pair score). The payload rows land once as
-    ``landing`` (banding and the verify joins both read them) → (bk, id)
-    band rows → singleton prune → candidate exchange → verify joins →
-    the landing is freed. Returns the (id_a, id_b, ``out_col``) pair
-    Dataset, typed even when empty."""
+    ``pl`` a fixed-width row of ``dtype``; None when ``ds`` already
+    holds them), ``band_keys`` ((n, width) payload → (n, tables) uint64
+    bucket keys) and ``score`` (two payload matrices → per-pair score).
+    The payload rows land once as ``landing`` (banding and the verify
+    joins both read them) → (bk, id) band rows → singleton prune →
+    candidate exchange → verify joins → the landing is freed. Every map
+    after the landing is a ``blocks.map_blocks`` (raw tasks over landed
+    blocks, the lazy map over a spill landing). Returns the (id_a,
+    id_b, ``out_col``) pair Dataset, typed even when empty."""
     if pair_emission not in ("pairs", "star"):
         # a typo ('Star', 'stars') would otherwise silently fall
         # through to the exhaustive all-pairs path
@@ -618,16 +634,14 @@ def _lsh_chain(
         )
     # one scan, landed once (measured: the 100M-doc MinHash chain dies
     # of store-spill ENOSPC unless its signatures land on disk)
-    rows = land(ds.map_batches(encode, batch_format="pyarrow"), spill, landing)
+    rows = land(ds if encode is None else map_blocks(ds, encode), spill, landing)
 
     def to_bands(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "pl" not in t.column_names:
             return _band_rows(np.empty((0, 1), np.uint64), _NO_IDS)
         return _band_rows(band_keys(_unpack(t["pl"], dtype)), _ints(t, "id"))
 
-    band_rows = _prune_singleton_buckets(
-        rows.map_batches(to_bands, batch_format="pyarrow"), spill
-    )
+    band_rows = _prune_singleton_buckets(map_blocks(rows, to_bands), spill)
     pairs = _candidate_pairs(band_rows, max_bucket_size, pair_emission, spill)
     verified = _verify_pairs_distributed(
         pairs, rows, dtype, score, out_col, threshold, spill
@@ -699,9 +713,7 @@ def _prune_singleton_buckets(band_rows, spill: Spill | None = None):
     # full band rows would re-materialize a just-landed table into the
     # store (45 GB at 50M docs × 28 tables vs a 37.6 GB store —
     # measured: raylet spilled it straight back to disk until ENOSPC)
-    keys = band_rows.map_batches(
-        lambda t: pa.table({"bk": _ints(t, "bk")}), batch_format="pyarrow"
-    )
+    keys = map_blocks(band_rows, lambda t: pa.table({"bk": _ints(t, "bk")}))
     hot = exchange_reduce(keys, "bk", _repeated_keys)
     refs, n_hot, _ = arrow_block_refs_with_rows(hot)
     if n_hot is not None and n_hot <= broadcast_rows_budget(
@@ -736,6 +748,12 @@ def _scored_pairs(ia, ib, est, out_col: str) -> pa.Table:
             out_col: pa.array(est, pa.float64()),
         }
     )
+
+
+def _endpoint_side(t: pa.Table, side: str) -> pa.Table:
+    """Payload rows (id, pl) as one verify-join side (id_<side>, pl_<side>)."""
+    pl = t["pl"] if "pl" in t.column_names else pa.array([], pa.binary())
+    return pa.table({f"id_{side}": _ints(t, "id"), f"pl_{side}": pl})
 
 
 def _verify_pairs_distributed(
@@ -789,14 +807,8 @@ def _verify_pairs_distributed(
             # payload table twice
             rows = broadcast_filter(rows, eps, "id").materialize()
 
-    sa = rows.map_batches(
-        lambda t: pa.table({"id_a": t["id"], "pl_a": t["pl"]}),
-        batch_format="pyarrow",
-    )
-    sb = rows.map_batches(
-        lambda t: pa.table({"id_b": t["id"], "pl_b": t["pl"]}),
-        batch_format="pyarrow",
-    )
+    sa = map_blocks(rows, lambda t: _endpoint_side(t, "a"))
+    sb = map_blocks(rows, lambda t: _endpoint_side(t, "b"))
     # the raw-task bucket-exchange join pins ~2 copies of each side
     # (block refs + split outputs) in the object store: fine for
     # endpoint-filtered sides; a full-corpus payload side needs
@@ -809,13 +821,15 @@ def _verify_pairs_distributed(
     j = bucketed_equi_join(j1, sb, "id_b", spill=spill)
 
     def est_batch(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return _scored_pairs(_NO_IDS, _NO_IDS, [], out_col)
         e = score(_unpack(t["pl_a"], dtype), _unpack(t["pl_b"], dtype))
         keep = e >= threshold
         return _scored_pairs(
             _ints(t, "id_a")[keep], _ints(t, "id_b")[keep], e[keep], out_col
         )
 
-    scored = j.map_batches(est_batch, batch_format="pyarrow")
+    scored = map_blocks(j, est_batch)
     return scored if spill is None else scored.materialize()
 
 
@@ -1443,7 +1457,8 @@ def neardup_drop_ids(
     member one-edit families) star measured 48 s vs 535 s for
     all-pairs with byte-identical drop sets. Pass
     ``pair_emission="pairs"`` for exhaustive pair verification when
-    families are marginal/chain-shaped."""
+    families are marginal/chain-shaped. ``text_col=None`` takes ``ds``
+    as precomputed (id, pl) signature rows (see minhash_lsh_dedup)."""
     return _non_canonical_ids(
         minhash_lsh_dedup(
             ds,
@@ -1461,18 +1476,19 @@ def _non_canonical_ids(pairs):
     near-dup family: distributed connected components, then each member
     whose label (the min member id, the canonical doc) is not its own
     id. ``None`` when there is no pair."""
-    pairs = pairs.map_batches(
-        lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
+    pairs = map_blocks(
+        pairs,
+        lambda t: pa.table({"id_a": _ints(t, "id_a"), "id_b": _ints(t, "id_b")}),
     ).materialize()
     if pairs.count() == 0:  # no near-dups anywhere
         return None
     labels = connected_components_bucketed(pairs)
 
     def non_canonical(t: pa.Table) -> pa.Table:
-        keep = pc.not_equal(t["node"], t["label"])
-        return pa.table({"node": t.filter(keep)["node"].cast(pa.int64())})
+        node = _ints(t, "node")
+        return pa.table({"node": node[node != _ints(t, "label")]})
 
-    return labels.map_batches(non_canonical, batch_format="pyarrow")
+    return map_blocks(labels, non_canonical)
 
 
 def apply_drops(

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import ray
-from .blocks import arrow_block_refs, dataset_from_refs
+from .blocks import (
+    arrow_block_refs_with_rows,
+    dataset_from_refs,
+    fan_out,
+    map_blocks,
+)
 
 
 def _default_buckets() -> int:
@@ -198,7 +203,8 @@ def broadcast_filter(ds, keys: np.ndarray, key, keep: bool = True):
     18+ min on the 50M-doc × 28-table SimHash corpus). The sorted probe
     is O(batch · log keys) with zero per-batch setup, so plain tasks
     (zero-copy local ray.get) stay the right choice over an actor pool.
-    Returns the lazy filtered Dataset."""
+    Returns the filtered Dataset: raw tasks over a landed ``ds``, else
+    lazy (``blocks.map_blocks``)."""
     ref = ray.put(np.sort(keys))
 
     def probe(t: pa.Table) -> pa.Table:
@@ -208,7 +214,7 @@ def broadcast_filter(ds, keys: np.ndarray, key, keep: bool = True):
         found, _ = sorted_lookup(ray.get(ref), col.to_numpy(zero_copy_only=False))
         return t.filter(pa.array(found if keep else ~found))
 
-    return ds.map_batches(probe, batch_format="pyarrow")
+    return map_blocks(ds, probe)
 
 
 def _bucket_of(t: pa.Table, key_col: str, P: int) -> np.ndarray:
@@ -267,10 +273,11 @@ def exchange_reduce(
     from the P reduce outputs.
 
     Fan-out sizes itself to the data when ``num_buckets`` is None: the
-    cluster-CPU default, capped at one bucket per ~64k input rows (the
-    row count comes free from the RefBundle metadata) — a 2k-row input
-    runs ONE reduce task instead of paying 32 tasks of fixed overhead,
-    while anything big enough to care still gets the full fan-out.
+    cluster-CPU default, capped by ``blocks.fan_out`` at one bucket per
+    ~64k input rows (the row count comes free from the RefBundle
+    metadata) — a 2k-row input runs ONE reduce task instead of paying
+    32 tasks of fixed overhead, while anything big enough to care
+    still gets the full fan-out.
 
     ``spill``: run the exchange through disk instead of plasma, for
     inputs comparable to the object store (the in-plasma exchange holds
@@ -328,12 +335,8 @@ def exchange_reduce(
             return dataset_from_refs([ray.put(fn(pa.table({})))])
         return dataset_from_refs(outs)
 
-    from .blocks import arrow_block_refs_with_rows
-
     refs, total_rows, _ = arrow_block_refs_with_rows(ds)
-    P = num_buckets or _default_buckets()
-    if num_buckets is None and total_rows is not None:
-        P = max(1, min(P, -(-total_rows // 65536)))
+    P = num_buckets or fan_out(total_rows, _default_buckets())
     if not refs:
         # zero executed blocks: materialize fn's typed empty output so
         # downstream consumers still see the reduce schema (a bare

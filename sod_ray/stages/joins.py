@@ -36,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .blocks import arrow_block_refs_with_rows, dataset_from_refs
+from .blocks import arrow_block_refs_with_rows, dataset_from_refs, fan_out
 
 
 def asof_join(
@@ -628,10 +628,8 @@ def bucketed_equi_join(
     left_schema = left_schema or _arrow_schema(left_ds)
     right_schema = right_schema or _arrow_schema(right_ds)
     if num_buckets is None:
-        big = max(left_rows or 0, right_rows or 0)
-        P = 64 if left_rows is None or right_rows is None else max(
-            1, min(64, -(-big // 65536))
-        )
+        known = left_rows is not None and right_rows is not None
+        P = fan_out(max(left_rows, right_rows) if known else None, 64)
     else:
         P = num_buckets
 

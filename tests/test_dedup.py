@@ -1693,46 +1693,33 @@ def test_empty_pairs_keep_typed_columns(ray_session, run, score, score_type):
     assert typed and all(t.schema == want for t in typed)
 
 
-def test_neardup_drop_ids_execution_budget(ray_session, doc_table, monkeypatch):
-    """The near-dup decision on the doc table launches at most 8 Ray
-    Data executions (streaming-executor runs, counted by patching
-    ``StreamingExecutor.execute`` as perfbench's tracer does). The
-    count is deterministic for one input and session size, so a new
-    execution in the chain fails here without timing noise."""
+def test_neardup_drop_ids_execution_budget(ray_session, doc_table, executions):
+    """The near-dup decision on the doc table launches at most 1 Ray
+    Data execution, its signature scan (counted by the ``executions``
+    fixture): every later map runs as raw tasks over landed blocks
+    (``blocks.map_blocks``), and the exchanges, joins and connected
+    components are raw tasks too. The count is deterministic for one
+    input and session size, so a new execution in the chain fails here
+    without timing noise."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
 
     from sod_ray.stages.dedup import neardup_drop_ids
 
-    execute = StreamingExecutor.execute
-    calls = []
-
-    def counted(self, *args, **kw):
-        calls.append(1)
-        return execute(self, *args, **kw)
-
     ds = rd.from_arrow(doc_table)
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    drop = neardup_drop_ids(ds, "text", "doc_id", jaccard_threshold=0.5)
-    n_exec = len(calls)
-    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    with executions() as chains:
+        drop = neardup_drop_ids(ds, "text", "doc_id", jaccard_threshold=0.5)
     assert set(drop.to_pandas()["node"]) == {1, 2, 3}
-    assert n_exec <= 8
+    assert len(chains) <= 1, "\n".join(chains)
 
 
 def test_empty_exchange_result_reads_launch_no_execution(
-    ray_session, monkeypatch
+    ray_session, executions
 ):
     """An empty ``exchange_reduce`` result is a marked Dataset: reading
-    it twice launches no Ray Data execution (counted as in
-    ``test_neardup_drop_ids_execution_budget``). A bare
-    ``rd.from_arrow`` result launched one empty execution per read."""
+    it twice launches no Ray Data execution (counted by the
+    ``executions`` fixture). A bare ``rd.from_arrow`` result launched
+    one empty execution per read."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
 
     from sod_ray.stages.exchange import exchange_reduce
 
@@ -1741,19 +1728,11 @@ def test_empty_exchange_result_reads_launch_no_execution(
 
     ds = rd.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
     res = exchange_reduce(ds.limit(0), "k", fn)  # no block to exchange
-    execute = StreamingExecutor.execute
-    calls = []
-
-    def counted(self, *args, **kw):
-        calls.append(1)
-        return execute(self, *args, **kw)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    for _ in range(2):
-        assert res.to_arrow_refs() and res.count() == 0
-    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    with executions() as chains:
+        for _ in range(2):
+            assert res.to_arrow_refs() and res.count() == 0
     assert res.schema().names == ["k"]
-    assert len(calls) == 0
+    assert len(chains) == 0, "\n".join(chains)
 
 
 _ONE_CPU_SCRIPT = r"""

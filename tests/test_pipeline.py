@@ -82,49 +82,23 @@ def test_full_run_and_resume(ray_session, web_dir, tmp_path):
         assert v3.loc[p, "rows"] == v.loc[p, "rows"]
 
 
-def _op_chain(op) -> str:
-    """'Input -> Read... -> MapBatches(...)' for one executed DAG."""
-    names = []
-
-    def walk(o):
-        for d in o.input_dependencies:
-            walk(d)
-        names.append(o.name)
-
-    walk(op)
-    return " -> ".join(names)
-
-
 def test_run_validation_execution_budget(
-    ray_session, web_dir, tmp_path, monkeypatch
+    ray_session, web_dir, tmp_path, executions
 ):
     """One validation run over the shared web fixture (default config
     plus the refs check, the validate_lang benchmark's shape) launches
-    at most 6 Ray Data executions (streaming-executor runs, counted by
-    patching ``StreamingExecutor.execute`` as perfbench's tracer does):
+    at most 6 Ray Data executions (counted by the ``executions`` fixture):
     the fused scan, the sketch partials, the peaks sort, the mismatch
     sink, the exact-uniqueness hashes and the referential anti-join.
     The count is deterministic for one input and session size, so a
     new execution in the run fails here without timing noise, and the
     failure lists every execution's operator chain."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
     from sod_ray.pipelines.validate import ValidateConfig, run_validation
 
     src, truth = web_dir
-    execute = StreamingExecutor.execute
-    chains = []
-
-    def counted(self, dag, *args, **kw):
-        chains.append(_op_chain(dag))
-        return execute(self, dag, *args, **kw)
-
     cfg = ValidateConfig(refs_path=f"{src}/webpage_refs")
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
-    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    with executions() as chains:
+        res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
     assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
     assert len(chains) <= 6, "\n".join(chains)
 

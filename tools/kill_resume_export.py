@@ -1,11 +1,13 @@
 """Kill/resume proof for the export/curation pipeline: run the full
 funnel (quality → exact → near-dup → PII) over a planted 200k-doc
-corpus, SIGKILL the process group mid-decisions, resume, and verify
-(a) the resumed run reloads committed decision checkpoints instead of
-recomputing, (b) the final corpus and funnel report are byte-identical
-to a clean single-shot run.
+corpus, SIGKILL the process group as soon as its first manifest record
+(the quality decision's commit) lands, resume, and verify (a) something
+was committed at the kill, (b) the resumed run reloads the committed
+decision checkpoints instead of recomputing them, (c) the final corpus
+and funnel report equal a clean single-shot run. The resumed run
+rebuilds the funnel's feature rows over the quality-filtered corpus.
 
-Usage: python tools/kill_resume_export.py [n_docs] [kill_frac]
+Usage: python tools/kill_resume_export.py [n_docs]
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import hashlib
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import time
@@ -24,6 +25,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from tools.kill_resume_test import kill_at_first_record  # noqa: E402
 
 ROOT = "/tmp/sod_kill_export"
 INP = f"{ROOT}/corpus"
@@ -99,7 +102,10 @@ ray.shutdown()
 """
 
 
-def run(out_dir: str, kill_after: float | None = None):
+def run(out_dir: str, kill_at_commit: bool = False):
+    """Run the funnel in a child process group; with ``kill_at_commit``,
+    SIGKILL the group once the first ``manifest/part-*.json`` record
+    appears and return None."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = RUN_SNIPPET.format(repo=repo, inp=INP, out=out_dir)
     proc = subprocess.Popen(
@@ -109,10 +115,8 @@ def run(out_dir: str, kill_after: float | None = None):
         text=True,
         start_new_session=True,
     )
-    if kill_after is not None:
-        time.sleep(kill_after)
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+    if kill_at_commit:
+        kill_at_first_record(proc, os.path.join(out_dir, "manifest"))
         return None
     out, _ = proc.communicate(timeout=1200)
     assert proc.returncode == 0, f"run failed rc={proc.returncode}"
@@ -137,7 +141,7 @@ def corpus_digest(corpus_dir: str) -> tuple[int, str]:
     return t.num_rows, h.hexdigest()
 
 
-def main(n_docs: int = 200_000, kill_frac: float = 0.5) -> int:
+def main(n_docs: int = 200_000) -> int:
     shutil.rmtree(ROOT, ignore_errors=True)
     print(f"generating {n_docs} docs ...")
     gen_corpus(n_docs)
@@ -151,11 +155,12 @@ def main(n_docs: int = 200_000, kill_frac: float = 0.5) -> int:
         f"stages {json.dumps({k: v.get('dropped') for k, v in rep_clean['stages'].items()})}"
     )
 
-    kill_at = wall * kill_frac
-    print(f"killed run: SIGKILL at {kill_at:.1f}s ...")
-    run(OUT_KILLED, kill_after=kill_at)
-    committed = sorted(os.listdir(os.path.join(OUT_KILLED, "manifest"))) if os.path.isdir(os.path.join(OUT_KILLED, "manifest")) else []
+    print("killed run: SIGKILL at the first manifest commit ...")
+    run(OUT_KILLED, kill_at_commit=True)
+    mdir = os.path.join(OUT_KILLED, "manifest")
+    committed = sorted(f for f in os.listdir(mdir) if f.startswith("part-"))
     print(f"  committed at kill: {committed}")
+    assert committed, "the kill landed before any manifest commit"
 
     rep_resumed = run(OUT_KILLED)
     n_res, dig_res = corpus_digest(os.path.join(OUT_KILLED, "corpus"))
@@ -171,10 +176,14 @@ def main(n_docs: int = 200_000, kill_frac: float = 0.5) -> int:
     for st, v in rep_clean["stages"].items():
         if "dropped" in v:
             assert rep_resumed["stages"][st]["dropped"] == v["dropped"], st
-    if committed:
-        assert rep_resumed["resumed_stages"], (
-            "decisions were committed before the kill but none were reused"
-        )
+    reused = {
+        "part-apply.json" if s == "apply" else f"part-decision:{s}.json"
+        for s in rep_resumed["resumed_stages"]
+    }
+    assert set(committed) <= reused, (
+        f"committed {committed} but the resume reused "
+        f"{rep_resumed['resumed_stages']}"
+    )
     print(
         f"OK: resumed corpus identical ({n_res} rows, md5 {dig_res[:12]}…), "
         f"{len(rep_resumed['resumed_stages'])} checkpointed stages reused"
@@ -183,6 +192,4 @@ def main(n_docs: int = 200_000, kill_frac: float = 0.5) -> int:
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
-    f = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
-    sys.exit(main(n, f))
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 200_000))

@@ -1,10 +1,13 @@
 """Kill/resume proof for the checkpoint manifest (BASELINE.md
 resumability criterion): start a validation run, SIGKILL the whole
-process group mid-flight, rerun, and verify that (a) the committed
-partitions from attempt 1 are skipped, (b) attempt 2 completes the
-rest, (c) the final verdicts equal a clean single-shot run.
+process group as soon as its first partition record lands in
+``manifest/``, rerun, and verify that (a) something was committed at
+the kill, (b) the committed partitions from attempt 1 are skipped,
+(c) attempt 2 completes the rest, (d) the final verdicts equal a clean
+single-shot run. Killing on the first record, not after a fixed delay,
+makes the resume path run whatever the host's speed.
 
-Usage: python tools/kill_resume_test.py
+Usage: python tools/kill_resume_test.py [n_rows]
 """
 
 from __future__ import annotations
@@ -38,7 +41,34 @@ ray.shutdown()
 """
 
 
-def run(out_dir: str, kill_after: float | None = None):
+def kill_at_first_record(proc, manifest_dir: str, timeout: float = 1200.0):
+    """SIGKILL ``proc``'s process group as soon as a ``part-*.json``
+    record appears in ``manifest_dir`` (polled every 10 ms). Raises if
+    the process exits or ``timeout`` passes first: a kill after the run
+    ended, or before any commit, proves nothing about resume."""
+    deadline = time.monotonic() + timeout
+    try:
+        while not (
+            os.path.isdir(manifest_dir)
+            and any(
+                f.startswith("part-") and f.endswith(".json")
+                for f in os.listdir(manifest_dir)
+            )
+        ):
+            if proc.poll() is not None:
+                raise AssertionError(
+                    f"run ended (rc={proc.returncode}) before its first commit"
+                )
+            if time.monotonic() > deadline:
+                raise AssertionError(f"no commit within {timeout:.0f} s")
+            time.sleep(0.01)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def run(out_dir: str, kill_at_commit: bool = False):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = RUN_SNIPPET.format(repo=repo, web=WEB, out=out_dir)
     proc = subprocess.Popen(
@@ -48,10 +78,8 @@ def run(out_dir: str, kill_after: float | None = None):
         text=True,
         start_new_session=True,
     )
-    if kill_after is not None:
-        time.sleep(kill_after)
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+    if kill_at_commit:
+        kill_at_first_record(proc, os.path.join(out_dir, "manifest"))
         return None
     out, _ = proc.communicate(timeout=600)
     assert proc.returncode == 0, f"run failed rc={proc.returncode}"
@@ -64,25 +92,26 @@ def run(out_dir: str, kill_after: float | None = None):
     return ran, skipped
 
 
-def main():
+def main(n_rows: int = 200_000):
     from sod_ray.sources.webpages import write_webpages
 
     shutil.rmtree("/tmp/sod_kill_test", ignore_errors=True)
     os.makedirs(WEB, exist_ok=True)
-    write_webpages(WEB, n_rows=200_000, n_shards=16, seed=42, with_refs=False)
+    write_webpages(WEB, n_rows=n_rows, n_shards=16, seed=42, with_refs=False)
 
     # clean single-shot run (the expected final state)
     clean_ran, _ = run(OUT_CLEAN)
     print(f"clean run partitions: {clean_ran}")
 
-    # attempt 1: killed mid-flight (SIGKILL, no cleanup handlers)
-    run(OUT, kill_after=13.0)
+    # attempt 1: killed at its first commit (SIGKILL, no cleanup handlers)
+    run(OUT, kill_at_commit=True)
     committed_after_kill = sorted(
         f.split("part-")[1].split(".json")[0]
         for f in os.listdir(os.path.join(OUT, "manifest"))
         if f.startswith("part-")
     ) if os.path.isdir(os.path.join(OUT, "manifest")) else []
     print(f"committed at kill: {committed_after_kill}")
+    assert committed_after_kill, "the kill landed before any partition commit"
 
     # attempt 2: resume
     ran2, skipped2 = run(OUT)
@@ -110,4 +139,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 200_000)
