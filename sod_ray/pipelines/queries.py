@@ -605,8 +605,8 @@ UNION ALL SELECT 'nation_region',
 def events_zscore_flags(sf_dir: str):
     """Per-user trailing-window z-score peaks (FIXTURES.md G4 —
     sod windowed scoring generalization). Runs the SCALE path
-    (``windowed_zscore_sorted``: distributed sort + per-block scoring
-    with cross-block context tails — hot keys parallelize) — the
+    (``windowed_zscore_sorted``: raw-task range sort + per-range
+    scoring with cross-range context tails — hot keys parallelize) — the
     flagship's scorer; pytest pins it row-identical to the per-group
     ``windowed_zscore`` variant."""
     from ..stages.window import windowed_zscore_sorted

@@ -9,20 +9,22 @@ translated to Ray Data).
       → slim feature table landed ONCE (object-store materialize, or
         parquet via intermediate_dir — the 100 TB path); every
         downstream constraint consumes it without recomputing the scan
-      → CONCURRENTLY:
-        · combined sketch partials → two-level salted merge on raw-task
-          ``exchange_reduce`` (stats, nulls, uniqueness — only sketch
-          rows cross the exchange); partitions whose HLL estimate sits
-          near the dup threshold get an exact hash count, also on
-          ``exchange_reduce``
-        · extraction-mismatch rows → partitioned parquet sink; the
-          per-partition mismatch counts are rows − extract_matches of
-          the merge's counters, so nothing re-reads the rows
-        · windowed z-score peaks: distributed sort + per-block scoring
-          with (window-1)-row overlap context — exact, parallel even
-          within one hot entity key; flagged rows written by the
-          scoring tasks themselves. This is the pass's only Ray Data
-          sort.
+      → CONCURRENTLY, as raw tasks over the landed blocks:
+        · combined sketch partials (one row set per landed block) →
+          two-level salted merge on ``exchange_reduce`` (stats, nulls,
+          uniqueness — only sketch rows cross the exchange)
+        · exact uniqueness hash count on ``exchange_reduce`` for every
+          partition (the HLL's 3σ band is wider than a dup threshold
+          of 0.5%, so its estimate alone cannot decide a verdict)
+        · extraction-mismatch rows → per-key parquet files written by
+          the tasks; the per-partition mismatch counts are rows −
+          extract_matches of the merge's counters, so nothing re-reads
+          the rows
+        · windowed z-score peaks: raw-task range sort
+          (``exchange.range_sort``) + per-range scoring with
+          (window-1)-row overlap context — exact, parallel even within
+          one hot entity key; flagged rows written by the scoring
+          tasks themselves
         · run-level referential FK containment (refs_path): parent
           urls from raw per-block unique tasks over the slim table, a
           broadcast anti-join, the violation set written from the
@@ -31,10 +33,10 @@ translated to Ray Data).
       → per-partition verdicts + manifest commit (atomic rename),
         in waves (partitions_per_wave) for checkpoint granularity
 
-A default run with the refs check is six Ray Data executions: the
-fused scan, the sketch partials, the peaks sort, the mismatch sink,
-the exact-uniqueness hashes (only for ambiguous partitions) and the
-anti-join.
+A default run with the refs check is two Ray Data executions: the
+fused scan (read → fused map → materialize) and the refs read with its
+broadcast anti-join probe. Every other step maps landed blocks with
+raw tasks (the ``stages/blocks.py`` rule).
 
 At 100 TB the materialize step becomes a write of the slim feature
 table to intermediate parquet (same shape, spillable); everything else
@@ -91,8 +93,8 @@ except Exception:  # pragma: no cover - aiohttp absent in container
 from ..state.manifest import Manifest, PartitionRecord, _is_flag
 from ..stages.exchange import broadcast_rows_budget
 from ..stages.constraints import schema_check
-from ..stages.stats import column_stats
-from ..stages.blocks import arrow_block_refs
+from ..stages.stats import _group_indices, column_stats
+from ..stages.blocks import arrow_block_refs, block_groups, dataset_from_refs
 
 WEBPAGE_SCHEMA = {
     "url": pa.string(),
@@ -183,14 +185,26 @@ class FusedFeatures:
         return pa.table(out)
 
 
+@ray.remote
+def _partials_group(partials, *blocks: pa.Table) -> pa.Table:
+    """``partials`` on each block of a group on its own, the row sets
+    concatenated in block order."""
+    outs = [partials(b) for b in blocks if b.num_rows]
+    if not outs:
+        return partials(pa.table({}))
+    return pa.concat_tables(outs, promote_options="default")
+
+
 def _combined_partials_merge(featured, cfg: "ValidateConfig"):
     """One partial+merge pass computing, per partition key: Welford +
     t-digest sketches for every stat column, the url-uniqueness HLL,
-    and the null/match counters. One map_batches, then raw-task
-    ``exchange_reduce`` levels keyed on ``hash64(part_key)`` — the
-    exchange carries a handful of sketch rows per (key, batch) and no
-    Ray Data sort runs. Rows come out per key in ``stat_columns``
-    order; the order of the keys follows the buckets."""
+    and the null/match counters. One partial row set per block of a
+    landed ``featured`` (raw tasks over ``blocks.block_groups``; per
+    8,192-row batch of a lazy one), then raw-task ``exchange_reduce``
+    levels keyed on ``hash64(part_key)`` — the exchange carries a
+    handful of sketch rows per (key, block) and no Ray Data execution
+    runs. Rows come out per key in ``stat_columns`` order; the order
+    of the keys follows the buckets."""
     from ..state.sketches import (
         HyperLogLog,
         Welford,
@@ -199,7 +213,6 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         quantile_sketch_from_bytes,
     )
     from ..stages.exchange import exchange_reduce
-    from ..stages.stats import _group_indices
 
     stat_cols = list(cfg.stat_columns)
     key = cfg.part_key
@@ -220,7 +233,9 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         for c in stat_cols:
             rows[f"wf_{c}"] = []
             rows[f"td_{c}"] = []
-        for key_val, idx in _group_indices(batch, key):
+        # a zero-column empty block has no key and yields no rows
+        groups = _group_indices(batch, key) if key in batch.column_names else ()
+        for key_val, idx in groups:
             sub = batch if idx is None else batch.take(pa.array(idx))
             rows["part_key"].append(key_val)
             rows["rows"].append(len(sub))
@@ -395,15 +410,25 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
             [merge(t.take(pa.array(idx))) for _, idx in groups]
         )
 
-    partial_rows = featured.map_batches(
-        partials, batch_format="pyarrow", batch_size=8192
-    )
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(featured, MaterializedDataset):
+        # one partial row set per landed block, never per concatenated
+        # group: the Welford fold must not depend on the task grouping
+        partial_rows = dataset_from_refs(
+            [_partials_group.remote(partials, *g) for g in block_groups(featured)]
+            or [ray.put(partials(pa.table({})))]
+        )
+    else:  # parquet-landed slim table: stream it
+        partial_rows = featured.map_batches(
+            partials, batch_format="pyarrow", batch_size=8192
+        )
     if cfg.merge_salt > 1:
         # two-level salted merge (SURVEY.md §7.5.6): the hot key's
-        # partial rows (one per batch — 10^8 of them at 10^12 rows)
-        # first fold within `merge_salt` buckets in parallel (level 1 is
-        # keyed on hash64(part_key) ^ salt), then the final merge folds
-        # only `merge_salt` rows per key
+        # partial rows (one per landed block, so their count grows with
+        # the table) first fold within `merge_salt` buckets in parallel
+        # (level 1 is keyed on hash64(part_key) ^ salt), then the final
+        # merge folds only `merge_salt` rows per key
         partial_rows = exchange_reduce(partial_rows, "__k", combine_salted)
     return exchange_reduce(partial_rows, "__k", merge_keys)
 
@@ -925,14 +950,14 @@ def _run_wave(
         featured = featured_stream.materialize()
     _mark("fused+materialize")
 
-    # --- independent consumers of the materialized feature table,
-    # executed CONCURRENTLY (threads share the Ray cluster; the
-    # streaming executor interleaves their tasks): (1) combined
-    # partial+merge for stats/nulls/uniqueness — only sketch rows and
-    # counters cross its raw-task exchange (SURVEY.md §2.5 G7); (2)
-    # extraction mismatch rows; (3) the windowed peak scorer (the one
-    # real data shuffle and the pass's only Ray Data sort); (4) the
-    # inline referential check ---
+    # --- independent consumers of the landed feature table, executed
+    # CONCURRENTLY (threads share the Ray cluster) as raw tasks over
+    # its blocks; only the referential check's refs read is a Ray Data
+    # execution: (1) combined partial+merge for stats/nulls/uniqueness
+    # — only sketch rows and counters cross its exchange (SURVEY.md
+    # §2.5 G7); (2) the exact uniqueness count; (3) extraction mismatch
+    # rows; (4) the windowed peak scorer on the raw-task range sort
+    # (the one real data shuffle); (5) the inline referential check ---
     from concurrent.futures import ThreadPoolExecutor
 
     viol_dir = os.path.join(out_dir, "violations")
@@ -947,28 +972,10 @@ def _run_wave(
             .reset_index(drop=True)
         )
 
-    def _mismatches():
-        """Distributed violation sink: flagged rows write straight to
-        the partitioned sidecar (never through the driver). Their
-        per-key counts are rows − extract_matches of the merge, since
-        ``extract_match`` has no nulls, so nothing re-reads the rows."""
-
-        def flag_rows(t: pa.Table) -> pa.Table:
-            bad = t.filter(pc.invert(t["extract_match"])).select(
-                [cfg.part_key, "url", "warc_ts"]
-            )
-            return bad.append_column(
-                "violation", pa.array(["extract_mismatch"] * len(bad), pa.string())
-            )
-
-        featured.map_batches(flag_rows, batch_format="pyarrow").write_parquet(
-            viol_dir, partition_cols=[cfg.part_key]
-        )
-
     def _peaks():
-        # hot-key-parallel scorer: distributed sort + per-block scoring
-        # with (window-1)-row overlaps — one skewed entity (lang=en at
-        # 62%) no longer serializes on a single reduce task
+        # hot-key-parallel scorer: range sort + per-range scoring with
+        # (window-1)-row overlaps — one skewed entity (lang=en at 62%)
+        # no longer serializes on a single reduce task
         from ..stages.window import windowed_zscore_sorted
 
         counts = windowed_zscore_sorted(
@@ -1007,13 +1014,15 @@ def _run_wave(
             input_path, cfg, manifest, out_dir, parent_keys=keys
         )
 
-    def _uniq_exact_override(uniq_tbl, ambiguous):
-        """HLL-noise-aware exact uniqueness fallback (SURVEY.md
-        §7.3.4): count ambiguous partitions' dups EXACTLY via an
-        8-byte-hash bucket exchange (only those partitions' hashes
-        move; url values never do; the exchange sizes its fan-out to
-        the data). Runs inside the wave's thread pool, overlapped with
-        the peak/mismatch/referential consumers."""
+    def _exact_dups():
+        """HLL-noise-aware exact uniqueness (SURVEY.md §7.3.4): with
+        2^14 registers the distinct estimate carries ~0.81% relative
+        error, so its 3σ band (2.44% of rows) is wider than a 0.5%
+        dup threshold itself and the estimate alone would flip
+        verdicts per run. Every partition of the wave is counted
+        EXACTLY via an 8-byte-hash bucket exchange (url values never
+        move; the exchange sizes its fan-out to the data), started
+        with the merge and overlapped with the other consumers."""
         from ..stages.constraints import exact_dup_counts
 
         transform = None
@@ -1021,46 +1030,24 @@ def _run_wave(
             from ..stages.textstage import normalize_url_array
 
             transform = normalize_url_array
-        exact = exact_dup_counts(
+        return exact_dup_counts(
             featured,
             "url",
             cfg.part_key,
-            ambiguous,
+            remaining,
             transform=transform,
         )
-        for pk, nd in exact.items():
-            uniq_tbl.loc[uniq_tbl["part_key"] == pk, "dup_est"] = float(nd)
-        return uniq_tbl
 
     with ThreadPoolExecutor(max_workers=5) as pool:
         f_merged = pool.submit(_merged)
-        f_mismatch = pool.submit(_mismatches)
+        f_uniq = pool.submit(_exact_dups)
+        f_mismatch = pool.submit(
+            write_mismatches, featured, viol_dir, cfg.part_key
+        )
         f_peaks = pool.submit(_peaks)
         f_ref = pool.submit(_referential_inline) if inline_referential else None
         merged = f_merged.result()
         _mark("combined-merge")
-        # with 2^14 registers the distinct estimate carries ~0.81%
-        # relative error, so a 0.1%-dup partition vs a 0.5% threshold
-        # is noise — the verdict would flip per run. Inside the 3σ band
-        # → exact fallback; unambiguous partitions pay zero shuffle.
-        uniq_tbl = (
-            merged[merged["column"] == cfg.stat_columns[0]]
-            [["part_key", "rows", "distinct_est", "dup_est"]]
-            .copy()
-        )
-        _hll_sigma = 1.04 / (2 ** 7)  # 1.04/sqrt(2^14)
-        ambiguous = [
-            str(r["part_key"])
-            for _, r in uniq_tbl.iterrows()
-            if r["rows"] > 0
-            and abs(r["dup_est"] - cfg.max_dup_rate * r["rows"])
-            <= 3 * _hll_sigma * r["rows"]
-        ]
-        f_uniq = (
-            pool.submit(_uniq_exact_override, uniq_tbl, ambiguous)
-            if ambiguous
-            else None
-        )
         f_mismatch.result()
         _mark("mismatches")
         peak_counts = f_peaks.result()
@@ -1068,9 +1055,14 @@ def _run_wave(
         ref_result = f_ref.result() if f_ref is not None else None
         if f_ref is not None:
             _mark("referential-inline")
-        if f_uniq is not None:
-            uniq_tbl = f_uniq.result()
-            _mark(f"uniqueness-exact-fallback n={len(ambiguous)}")
+        uniq_tbl = (
+            merged[merged["column"] == cfg.stat_columns[0]]
+            [["part_key", "rows", "distinct_est", "dup_est"]]
+            .copy()
+        )
+        for pk, nd in f_uniq.result().items():
+            uniq_tbl.loc[uniq_tbl["part_key"] == pk, "dup_est"] = float(nd)
+        _mark("uniqueness-exact")
 
     stats_tbl = merged  # per (part_key, column) sketch stats
     flag_cols = ["rows", "html_nulls", "text_nulls", "extract_matches"]
@@ -1197,6 +1189,61 @@ def _run_wave(
         manifest.commit(rec)
     wave_urls = _harvest_urls(featured) if collect_urls else None
     return verdicts, stats_tbl, total_rows, wave_urls, ref_result
+
+
+def _flag_mismatches(t: pa.Table, part_key: str) -> pa.Table:
+    bad = t.filter(pc.invert(t["extract_match"])).select(
+        [part_key, "url", "warc_ts"]
+    )
+    return bad.append_column(
+        "violation", pa.array(["extract_mismatch"] * len(bad), pa.string())
+    )
+
+
+@ray.remote
+def _write_mismatch_group(viol_dir: str, part_key: str, name: str, *blocks):
+    import pyarrow.parquet as pq
+
+    bad = [_flag_mismatches(b, part_key) for b in blocks if b.num_rows]
+    bad = [b for b in bad if b.num_rows]
+    if not bad:
+        return
+    bad = pa.concat_tables(bad)
+    for key_val, idx in _group_indices(bad, part_key):
+        pdir = os.path.join(viol_dir, f"{part_key}={key_val}")
+        os.makedirs(pdir, exist_ok=True)
+        pq.write_table(
+            bad.take(pa.array(idx)).drop_columns([part_key]),
+            os.path.join(pdir, name),
+        )
+
+
+def write_mismatches(featured, viol_dir: str, part_key: str) -> None:
+    """Extraction-mismatch sink: the rows of ``featured`` whose
+    extracted text differs from the stored one, as (url, warc_ts,
+    violation) files under ``viol_dir/<part_key>=<k>/`` — the layout of
+    a hive-partitioned ``write_parquet``, written by the workers, never
+    through the driver. On a landed table one raw task per
+    ``blocks.block_groups`` group writes ``mismatch-g<i>.parquet`` per
+    key, so a retried task overwrites its own file; a lazy input (the
+    parquet-landed slim table) streams through ``write_parquet``. The
+    per-key counts come from the merge (rows − extract_matches, as
+    ``extract_match`` has no nulls), so nothing re-reads the rows."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(featured, MaterializedDataset):
+        featured.map_batches(
+            _flag_mismatches, batch_format="pyarrow", fn_args=(part_key,)
+        ).write_parquet(viol_dir, partition_cols=[part_key])
+        return
+    ray.get(
+        [
+            _write_mismatch_group.remote(
+                viol_dir, part_key, f"mismatch-g{i}.parquet", *g
+            )
+            for i, g in enumerate(block_groups(featured))
+        ]
+    )
 
 
 def _harvest_urls(featured):

@@ -24,8 +24,14 @@ execution. Renaming the columns of 8 landed 1,250-row blocks (id and
 a 512-byte payload) on one CPU took 0.187 s as a Ray Data execution,
 0.051 s as 8 raw tasks and 0.041 s as the one task ``map_blocks``
 runs for 10,000 rows (medians of 15 runs): the execution's cost is
-planning and scheduling, not the work. :func:`fan_out` is the one
-task-count rule of these maps and of the raw-task exchanges and joins.
+planning and scheduling, not the work. The rule covers sorts too:
+``exchange.range_sort`` sorts landed blocks with raw tasks. Sorting a
+landed 20,000-row, 8-column table (5 blocks) on three keys, projected
+to four columns, took 0.182 s as a ``Dataset.sort`` execution and
+0.016 s as ``range_sort``'s one task; at 200,000 rows (8 blocks, 4
+ranges) 0.449 s and 0.215 s (1 CPU, medians of 15 runs).
+:func:`fan_out` is the one task-count rule of these maps and of the
+raw-task exchanges, joins and range sort.
 """
 
 from __future__ import annotations
@@ -131,16 +137,35 @@ def _map_group(fn, *blocks: pa.Table) -> pa.Table:
     return fn(t)
 
 
+def block_groups(ds) -> list[list]:
+    """The block refs of ``ds`` in :func:`fan_out` contiguous groups of
+    about equal row counts, at most one group per block and no empty
+    group (an empty block rides with its successor); [] when ``ds``
+    has no blocks. ``ds`` should have landed: a lazy input runs here."""
+    refs, rows, _ = _block_refs(ds)
+    if not refs:
+        return []
+    known = [n or 0 for n in rows]
+    total = sum(known)
+    k = fan_out(None if None in rows else total, len(refs))
+    # block i joins group (rows before it) * k // total
+    start = 0
+    groups: list[list] = [[] for _ in range(k)]
+    for ref, n in zip(refs, known):
+        groups[min(k - 1, start * k // max(total, 1))].append(ref)
+        start += n
+    return [g for g in groups if g]
+
+
 def map_blocks(ds, fn):
     """``ds.map_batches(fn, batch_format="pyarrow")`` for a row-wise
     ``fn`` (pa.Table -> pa.Table), run as raw tasks when ``ds`` has
-    landed. On a ``MaterializedDataset`` the block refs are split into
-    :func:`fan_out` contiguous groups of about equal row counts (at most
-    one group per block) and one task maps each group's concatenated
-    rows; the result is a marked Dataset of the task outputs, so
-    reading it launches no Ray Data execution. Every other input (a
-    lazy read, a ``Spill`` landing streamed from parquet) keeps the
-    lazy ``map_batches``, which streams.
+    landed. On a ``MaterializedDataset`` one task maps each of
+    :func:`block_groups`' groups, on the group's concatenated rows; the
+    result is a marked Dataset of the task outputs, so reading it
+    launches no Ray Data execution. Every other input (a lazy read, a
+    ``Spill`` landing streamed from parquet) keeps the lazy
+    ``map_batches``, which streams.
 
     ``fn`` must accept a 0-row table, possibly with no columns: on an
     input without rows it runs once on one, so the result keeps fn's
@@ -149,19 +174,9 @@ def map_blocks(ds, fn):
 
     if not isinstance(ds, MaterializedDataset):
         return ds.map_batches(fn, batch_format="pyarrow")
-    refs, rows, _ = _block_refs(ds)
-    if not refs:
+    groups = block_groups(ds)
+    if not groups:
         return dataset_from_refs([ray.put(fn(pa.table({})))])
-    known = [n or 0 for n in rows]
-    total = sum(known)
-    k = fan_out(None if None in rows else total, len(refs))
-    # block i joins group (rows before it) * k // total: contiguous,
-    # row-balanced groups; an empty block rides with its successor
-    start = 0
-    groups: list[list] = [[] for _ in range(k)]
-    for ref, n in zip(refs, known):
-        groups[min(k - 1, start * k // max(total, 1))].append(ref)
-        start += n
     return dataset_from_refs(
-        [_map_group.remote(fn, *g) for g in groups if g]
+        [_map_group.remote(fn, *g) for g in groups]
     )

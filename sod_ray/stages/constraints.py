@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..state.sketches import HyperLogLog, hash64
-from .blocks import arrow_block_refs, dataset_from_refs
+from .blocks import arrow_block_refs, dataset_from_refs, map_blocks
 
 # per-worker-process cache of broadcast-probe hash indexes, keyed by
 # the parent key set's object ref (see _broadcast_membership)
@@ -363,8 +363,10 @@ def exact_dup_counts(
 ) -> dict[str, int]:
     """Exact per-partition duplicate-ROW counts for the given partition
     keys, hash-only: each surviving row ships an 8-byte ``hash64``
-    of ``column`` into an ``exchange_reduce`` keyed on that hash (the
-    column's values never move), per-bucket dups are counted vectorized
+    of ``column`` (hashed by ``blocks.map_blocks``: raw tasks over a
+    landed ``ds``, a projected lazy map otherwise) into an
+    ``exchange_reduce`` keyed on that hash (the column's values never
+    move), per-bucket dups are counted vectorized
     (size − distinct hashes per partition), and only tiny (key, n_dup)
     count rows reach the driver. Equal values always share a bucket, so
     summing per-bucket excesses is exact: Σ_b (n_b − u_b) = n − u.
@@ -380,15 +382,22 @@ def exact_dup_counts(
     value_set = pa.array(sorted(set(keys)), pa.string())
 
     def to_hashes(t: pa.Table) -> pa.Table:
+        if key not in t.column_names:  # schema-less empty block
+            return pa.table(
+                {key: pa.array([], pa.string()), "h": pa.array([], pa.uint64())}
+            )
         sub = t.filter(pc.is_in(t[key], value_set=value_set))
         col = sub[column]
         if transform is not None:  # e.g. URL canonicalization
             col = transform(col)
         return pa.table({key: sub[key], "h": pa.array(hash64(col))})
 
-    hashed = ds.select_columns([key, column]).map_batches(
-        to_hashes, batch_format="pyarrow"
-    )
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        # a lazy read keeps the projection pushed into its scan
+        ds = ds.select_columns([key, column])
+    hashed = map_blocks(ds, to_hashes)
 
     def count_dups(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -559,8 +568,8 @@ def bucketed_anti_join(
         return t.drop_columns(["__key"])
 
     joined = bucketed_equi_join(
-        child_ds.map_batches(child_key, batch_format="pyarrow"),
-        parent_ds.map_batches(parent_key, batch_format="pyarrow"),
+        map_blocks(child_ds, child_key),
+        map_blocks(parent_ds, parent_key),
         "__key",
         num_buckets=num_buckets,
         join_type="left anti",

@@ -16,7 +16,9 @@ This module is that pattern's one-table implementation
 and the group reductions of the other stages run on it. Two-sided
 splits keep their own tasks: ``joins.bucketed_equi_join`` splits both
 join sides, and ``stages/cc.py`` splits numpy edge arrays per
-contraction level.
+contraction level. ``range_sort`` is the ordered variant: blocks split
+by sampled key ranges instead of hash buckets, and each range task
+sorts its rows, for the sorted window scorers in ``stages/window``.
 
 Partitioning assumption (document per use): all rows of one bucket are
 concatenated in a single reduce task, so the largest bucket must fit in
@@ -34,8 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+
 from .blocks import (
+    _block_refs,
     arrow_block_refs_with_rows,
     dataset_from_refs,
     fan_out,
@@ -357,3 +362,139 @@ def exchange_reduce(
         ]
     return dataset_from_refs(outs)
 
+
+
+def _ascending(keys: list[str]) -> list[tuple[str, str]]:
+    return [(k, "ascending") for k in keys]
+
+
+def _project(t: pa.Table, columns: list[str] | None) -> pa.Table:
+    # a zero-column empty block (Ray's empty block) passes as it is
+    if columns is None or not set(columns) <= set(t.column_names):
+        return t
+    return t.select(columns)
+
+
+@ray.remote
+def _range_sample(t: pa.Table, keys: list[str], k: int) -> pa.Table | None:
+    """Up to ``k`` evenly spaced rows of ``t``'s sort keys, sorted, each
+    weighted (``__w``) by the rows it stands for; None for a block
+    without rows."""
+    if not t.num_rows:
+        return None
+    pos = np.unique(np.linspace(0, t.num_rows - 1, min(k, t.num_rows)).astype(np.int64))
+    s = t.select(keys).take(pa.array(pos))
+    s = s.take(pc.sort_indices(s, _ascending(keys), null_placement="at_end"))
+    return s.append_column(
+        "__w", pa.array(np.full(len(pos), t.num_rows / len(pos)))
+    )
+
+
+@ray.remote
+def _range_split(t: pa.Table, columns, keys: list[str], bounds: pa.Table, P: int):
+    """One block → P sorted row-slices by range. pyarrow has no
+    multi-column searchsorted, so the block's keys are sorted together
+    with the P-1 boundary rows, each boundary before the rows equal to
+    it: a row's range is the number of boundaries before it."""
+    t = _project(t, columns)
+    n = t.num_rows
+    if n == 0:
+        e = t.slice(0, 0)
+        return tuple(e for _ in range(P))
+    keyed = t.select(keys)
+    tagged = pa.concat_tables(
+        [
+            keyed.append_column("__b", pa.array(np.ones(n, np.int8))),
+            bounds.cast(keyed.schema).append_column(
+                "__b", pa.array(np.zeros(bounds.num_rows, np.int8))
+            ),
+        ]
+    )
+    order = pc.sort_indices(
+        tagged, _ascending(keys) + [("__b", "ascending")], null_placement="at_end"
+    ).to_numpy()
+    is_bound = order >= n
+    rng = np.cumsum(is_bound)[~is_bound]
+    st = t.take(pa.array(order[~is_bound]))
+    cuts = np.searchsorted(rng, np.arange(P + 1))
+    return tuple(
+        st.slice(int(cuts[p]), int(cuts[p + 1] - cuts[p])) for p in range(P)
+    )
+
+
+@ray.remote(num_returns=3)
+def _range_block(columns, keys: list[str], tail: int, *pieces: pa.Table):
+    """One range: its pieces concatenated in block order and stable-
+    sorted, so rows with equal keys keep their block order. Returns
+    (block, its last ``tail`` rows, its row count)."""
+    parts = [_project(p, columns) for p in pieces if p.num_rows]
+    if parts:
+        t = pa.concat_tables(parts, promote_options="default")
+        t = t.take(pc.sort_indices(t, _ascending(keys), null_placement="at_end"))
+    else:
+        t = max(pieces, key=lambda p: p.num_columns).slice(0, 0)
+    n = t.num_rows
+    return t, t.slice(max(0, n - tail)), n
+
+
+def range_sort(
+    ds, keys: list[str], columns: list[str] | None = None, tail: int = 0
+) -> list:
+    """Sort ``ds`` on ``keys`` (ascending, nulls last) with raw tasks:
+    one ``[block, tail, rows]`` ref triple per range, the ranges in key
+    order and each range's block sorted, so the concatenated blocks are
+    the sorted table. ``tail`` is how many of a range's last rows its
+    tail ref holds (the context a sliding window needs from the ranges
+    before it); ``columns`` projects every block first (on a lazy
+    ``ds``, before it lands).
+
+    P = ``fan_out(rows, max(cluster CPUs, blocks))`` ranges: one per
+    ``blocks.ROWS_PER_TASK`` rows, and as many as the input has blocks
+    once the table outgrows the cluster, so a range holds about one
+    input block's rows (at least ``ROWS_PER_TASK``) however large the
+    table is, as ``Dataset.sort``'s one output block per input block
+    does. With P > 1 every block returns a small sorted sample of its
+    keys, the driver picks the P-1 range boundaries from the weighted
+    union of the samples, every block splits into its P ranges
+    (:func:`_range_split`), and one task per range concatenates and
+    sorts its pieces. Rows equal to a
+    boundary all go to the range after it, and a range keeps equal
+    rows in block order, so the result is the stable sort of the
+    blocks' concatenation whatever P is. The boundaries include every
+    sort key, so a hot leading key spreads over several ranges. A lazy
+    ``ds`` lands through one scan execution; a landed one runs none.
+    Partitioning assumption: a range (about one input block) fits one
+    worker's heap; ranges are balanced by row count, except for rows
+    with equal keys, which share a range."""
+    from ray.data.dataset import MaterializedDataset
+
+    if columns is not None and not isinstance(ds, MaterializedDataset):
+        ds = ds.select_columns(columns)
+    refs, rows, _ = _block_refs(ds)
+    total = None if None in rows else sum(rows)
+    if total == 0:
+        return []
+    P = fan_out(total, max(_default_buckets(), len(refs)))
+    if P == 1:
+        return [_range_block.remote(columns, keys, tail, *refs)]
+    per_block = -(-32 * P // len(refs))
+    samples = [
+        s
+        for s in ray.get([_range_sample.remote(r, keys, per_block) for r in refs])
+        if s is not None
+    ]
+    if not samples:
+        return [_range_block.remote(columns, keys, tail, *refs)]
+    s = pa.concat_tables(samples, promote_options="default")
+    s = s.take(pc.sort_indices(s, _ascending(keys), null_placement="at_end"))
+    cum = np.cumsum(s["__w"].to_numpy())
+    at = np.searchsorted(cum, cum[-1] * np.arange(1, P) / P)
+    bounds = s.select(keys).take(pa.array(np.minimum(at, s.num_rows - 1)))
+    splits = [
+        _range_split.options(num_returns=P).remote(r, columns, keys, bounds, P)
+        for r in refs
+    ]
+    return [
+        _range_block.remote(columns, keys, tail, *[sp[p] for sp in splits])
+        for p in range(P)
+    ]

@@ -1,20 +1,22 @@
 """Windowed outlier scoring per partition — the reference's COLLECT
-pipeline (SURVEY.md §3.1) re-expressed as ``groupby(key).map_groups``.
-
-Each group = one entity stream (sod's EntityID →  ``lang`` / ``user_id``).
-Inside the group: sort by timestamp (the reference sorts every ingest
-batch by CreatedAt — collect/handler.go:75-77), then replay either
+pipeline (SURVEY.md §3.1) over per-entity streams (sod's EntityID →
+``lang`` / ``user_id``). Inside a key: sort by timestamp (the reference
+sorts every ingest batch by CreatedAt — collect/handler.go:75-77), then
+replay either
 
 - the rolling z-score peak detector (the generalized scorer, G4), or
 - the bug-for-bug LOF window scorer (sod_ray.functions.lof, G2)
   with warmup / verdict-gated append / retention semantics.
 
-Partitioning assumption (documented per the brief): one key's full
-history must fit in one worker's memory. Keys here are coarse
-(lang ≈ 8 values, user_id ≈ thousands); for billion-row single keys
-the window is bounded (max_items) so the scorer could stream
-chunk-by-chunk in ts order — the map_groups contract still holds
-because Ray feeds the whole sorted group to one task.
+Two layouts. ``windowed_zscore`` and ``windowed_lof`` feed each key's
+whole group to one ``groupby(key).map_groups`` task, so one key's full
+history must fit in one worker's memory. The sorted scorers
+(``windowed_zscore_sorted``, ``windowed_rolling_sorted`` and
+``windowed_lof_chunked``) instead sort on (key, ts, *ids) with the
+raw-task range sort (``exchange.range_sort``, not ``Dataset.sort``):
+a hot key spans several ranges, and a range needs only the last
+``window-1`` rows before it (z-score, rolling mean) or the LOF window
+state handed down a chain of tasks.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..functions.lof import score_stream
 from ..functions.zscore import rolling_zscore
-from .blocks import arrow_block_refs
 
 
 def windowed_zscore(
@@ -124,6 +126,53 @@ def windowed_lof(
     return slim.groupby(key).map_groups(per_group, batch_format="pandas")
 
 
+@ray.remote
+def _score_range(score, key: str, window: int, block: pa.Table, i: int, *tails):
+    """``score(table, ctx_len, i)`` on sorted range ``i`` behind its
+    context: the last ``window-1`` rows of the preceding ranges' tails
+    (several of them when ranges are shorter than the window) that
+    share the range's first key. Keys are contiguous after the sort,
+    so those rows are exactly the key's history the range needs; they
+    are the table's first ``ctx_len`` rows."""
+    ctx_len = 0
+    tails = [t for t in tails if t.num_rows]
+    if tails and block.num_rows:
+        prev = pa.concat_tables(tails)
+        prev = prev.slice(max(0, prev.num_rows - (window - 1)))
+        ctx = prev.filter(pc.equal(prev[key], block[key][0]))
+        ctx_len = ctx.num_rows
+        if ctx_len:
+            block = pa.concat_tables([ctx, block])
+    return score(block, ctx_len, i)
+
+
+def _sorted_windows(ds, key, ts_col, value_col, id_cols, window, score):
+    """The sorted-overlap scan shared by the trailing-window scorers:
+    ``exchange.range_sort`` on (key, ts, *ids), then one
+    :func:`_score_range` task per range, all in parallel — a range's
+    context depends only on the sort, so no range waits for another's
+    score and a hot key spreads over as many ranges as its rows fill.
+    Returns (projected columns, the per-range results in key order)."""
+    from .exchange import range_sort
+
+    ids = list(id_cols or [])
+    cols = [key, ts_col, value_col] + [c for c in ids if c not in (key, ts_col, value_col)]
+    sort_keys = [key, ts_col] + [c for c in ids if c not in (key, ts_col)]
+    ranges = range_sort(ds, sort_keys, columns=cols, tail=window - 1)
+    # a range reads only the row counts of the ranges before it
+    counts = ray.get([n for _, _, n in ranges[:-1]])
+    futures = []
+    for i, (block, _, _) in enumerate(ranges):
+        js, acc, j = [], 0, i - 1
+        while j >= 0 and acc < window - 1:
+            js.append(j)
+            acc += counts[j]
+            j -= 1
+        ctx = [ranges[j][1] for j in reversed(js)]
+        futures.append(_score_range.remote(score, key, window, block, i, *ctx))
+    return cols, ray.get(futures)
+
+
 def windowed_zscore_sorted(
     ds,
     key: str,
@@ -136,68 +185,23 @@ def windowed_zscore_sorted(
     sink_dir: str | None = None,
     sink_key_prefix: str | None = None,
 ):
-    """Hot-key-parallel windowed z-score: distributed sort + per-block
-    scoring with (window-1)-row overlaps — EXACT and parallel WITHIN a
-    key, unlike the reducer-per-key designs.
-
-    After ``ds.sort([key, ts, ids])`` each block holds a contiguous,
-    globally ordered slice. A trailing window of w rows for any row in
-    block i reaches at most w-1 rows back, all of which live in block
-    i's prefix or block i-1's (w-1)-row tail (keys are contiguous after
-    the sort, so the tail filtered to the row's key is exactly the
-    needed context). Tails depend only on the sort — every block scores
-    in parallel, no sequential chain. This is the scorer for entity
+    """Hot-key-parallel windowed z-score: a raw-task range sort on
+    (key, ts, *ids) and per-range scoring with (window-1)-row overlaps
+    (:func:`_sorted_windows`) — EXACT and parallel WITHIN a key,
+    unlike the reducer-per-key designs. This is the scorer for entity
     keys of ANY cardinality/skew; one hot key no longer serializes.
+    Returns the flagged rows with ``z`` and ``is_peak`` as a pandas
+    DataFrame.
 
-    With sink_dir, each block task writes its flagged rows into the
-    per-key violation dirs itself and returns only counts
+    With sink_dir, each range task writes its flagged rows into the
+    per-key violation dirs itself (``<prefix>=<key>/peaks-b<i>``, so a
+    retried task overwrites its own file) and returns only counts
     (key, n_flagged)."""
-    import ray
 
-    cols = [key, ts_col, value_col] + [
-        c for c in (id_cols or []) if c not in (key, ts_col, value_col)
-    ]
-    slim = ds.select_columns(cols)
-    sort_keys = [key, ts_col] + [c for c in (id_cols or []) if c not in (key, ts_col)]
-    sorted_ds = slim.sort(sort_keys)
-    block_refs = arrow_block_refs(sorted_ds)
-    if not block_refs:
-        return pd.DataFrame(columns=[key, "n_flagged"] if sink_dir else cols + ["z", "is_peak"])
-
-    @ray.remote
-    def nrows_of(block: pa.Table) -> int:
-        return block.num_rows
-
-    @ray.remote
-    def tail_of(block: pa.Table):
-        n = block.num_rows
-        return block.slice(max(0, n - (window - 1)), min(n, window - 1))
-
-    @ray.remote
-    def score_block(block: pa.Table, block_idx: int, *ctx_tails):
-        # context = last (window-1) rows across the PRECEDING blocks'
-        # tails (possibly several, when blocks are shorter than the
-        # window — a single predecessor tail would truncate the history
-        # and mis-score rows near the boundary)
-        prev_tail = None
-        nonempty_tails = [t for t in ctx_tails if t.num_rows]
-        if nonempty_tails:
-            cat = pa.concat_tables(nonempty_tails)
-            prev_tail = cat.slice(max(0, cat.num_rows - (window - 1)))
-        if block.num_rows == 0 and prev_tail is None:
-            g = pd.DataFrame(columns=cols)
-        else:
-            ctx_len = 0
-            if prev_tail is not None and prev_tail.num_rows and block.num_rows:
-                first_key = block[key][0].as_py()
-                mask = pc.equal(prev_tail[key], pa.scalar(first_key))
-                ctx = prev_tail.filter(mask)
-                ctx_len = ctx.num_rows
-                g = pa.concat_tables([ctx, block]).to_pandas()
-            else:
-                g = block.to_pandas()
+    def score(t: pa.Table, ctx_len: int, i: int):
+        g = t.to_pandas()
         if len(g) == 0:
-            flagged = pd.DataFrame(columns=cols + ["z", "is_peak"])
+            flagged = pd.DataFrame(columns=t.column_names + ["z", "is_peak"])
         else:
             parts = []
             values = g[value_col].to_numpy()
@@ -214,7 +218,7 @@ def windowed_zscore_sorted(
                     sub["is_peak"] = np.abs(z) > threshold
                 parts.append(sub)
             g = pd.concat(parts)
-            g = g.iloc[ctx_len:]  # context rows belong to the previous block
+            g = g.iloc[ctx_len:]  # context rows belong to the previous range
             flagged = g[g["is_peak"]]
         if sink_dir is None:
             return flagged
@@ -231,27 +235,17 @@ def windowed_zscore_sorted(
             kg["violation"] = "peak"
             pq.write_table(
                 pa.Table.from_pandas(kg, preserve_index=False),
-                os.path.join(pdir, f"peaks-b{block_idx}.parquet"),
+                os.path.join(pdir, f"peaks-b{i}.parquet"),
             )
             counts.append({key: key_val, "n_flagged": len(kg)})
         return pd.DataFrame(counts, columns=[key, "n_flagged"])
 
-    tails = [tail_of.remote(r) for r in block_refs]
-    counts_per_block = ray.get([nrows_of.remote(r) for r in block_refs])
-    futures = []
-    for i, r in enumerate(block_refs):
-        # walk back until window-1 context rows are covered (or block 0)
-        js, acc, j = [], 0, i - 1
-        while j >= 0 and acc < window - 1:
-            js.append(j)
-            acc += counts_per_block[j]
-            j -= 1
-        ctx = [tails[j2] for j2 in reversed(js)]
-        futures.append(score_block.remote(r, i, *ctx))
-    results = ray.get(futures)
+    cols, results = _sorted_windows(ds, key, ts_col, value_col, id_cols, window, score)
     non_empty = [r for r in results if len(r)]
     if not non_empty:
-        return pd.DataFrame(columns=[key, "n_flagged"] if sink_dir else cols + ["z", "is_peak"])
+        return pd.DataFrame(
+            columns=[key, "n_flagged"] if sink_dir else cols + ["z", "is_peak"]
+        )
     out = pd.concat(non_empty, ignore_index=True)
     if sink_dir is not None:
         out = out.groupby(key, as_index=False)["n_flagged"].sum()
@@ -269,54 +263,20 @@ def windowed_rolling_sorted(
     round_to: int | None = None,
 ):
     """Trailing rolling MEAN per key over the (ts, ids) order — the
-    sorted-overlap scan of ``windowed_zscore_sorted`` applied to a
-    plain windowed aggregate (SQL ``AVG(v) OVER (PARTITION BY key
-    ORDER BY ts ROWS BETWEEN w-1 PRECEDING AND CURRENT ROW)``).
+    sorted-overlap scan of ``windowed_zscore_sorted``
+    (:func:`_sorted_windows`) applied to a plain windowed aggregate
+    (SQL ``AVG(v) OVER (PARTITION BY key ORDER BY ts ROWS BETWEEN w-1
+    PRECEDING AND CURRENT ROW)``).
 
-    EXACT and parallel within a hot key: after the distributed sort,
-    each block scores independently using at most ``window-1`` context
-    rows accumulated from preceding blocks' tails. Emits EVERY row
-    (unlike the flag-filtered z-score variant) with ``out_col``
-    appended. Returns a Dataset (from per-block pandas results)."""
-    import ray
+    EXACT and parallel within a hot key. Emits EVERY row (unlike the
+    flag-filtered z-score variant) with ``out_col`` appended. Returns a
+    Dataset (from per-range pandas results)."""
     import ray.data as rd
 
-    cols = [key, ts_col, value_col] + [
-        c for c in (id_cols or []) if c not in (key, ts_col, value_col)
-    ]
-    slim = ds.select_columns(cols)
-    sort_keys = [key, ts_col] + [c for c in (id_cols or []) if c not in (key, ts_col)]
-    sorted_ds = slim.sort(sort_keys)
-    block_refs = arrow_block_refs(sorted_ds)
-    if not block_refs:
-        return rd.from_pandas(pd.DataFrame(columns=cols + [out_col]))
-
-    @ray.remote
-    def nrows_of(block: pa.Table) -> int:
-        return block.num_rows
-
-    @ray.remote
-    def tail_of(block: pa.Table):
-        n = block.num_rows
-        return block.slice(max(0, n - (window - 1)), min(n, window - 1))
-
-    @ray.remote
-    def score_block(block: pa.Table, *ctx_tails):
-        prev_tail = None
-        nonempty_tails = [t for t in ctx_tails if t.num_rows]
-        if nonempty_tails:
-            cat = pa.concat_tables(nonempty_tails)
-            prev_tail = cat.slice(max(0, cat.num_rows - (window - 1)))
-        ctx_len = 0
-        if block.num_rows == 0:
-            return pd.DataFrame(columns=cols + [out_col])
-        if prev_tail is not None and prev_tail.num_rows:
-            first_key = block[key][0].as_py()
-            ctx = prev_tail.filter(pc.equal(prev_tail[key], pa.scalar(first_key)))
-            ctx_len = ctx.num_rows
-            g = pa.concat_tables([ctx, block]).to_pandas()
-        else:
-            g = block.to_pandas()
+    def score(t: pa.Table, ctx_len: int, i: int):
+        g = t.to_pandas()
+        if len(g) == 0:
+            return g
         values = g[value_col].to_numpy(dtype=np.float64)
         keys_arr = g[key].to_numpy()
         change = np.flatnonzero(keys_arr[1:] != keys_arr[:-1]) + 1
@@ -331,20 +291,10 @@ def windowed_rolling_sorted(
             lo = np.maximum(0, idx - window)
             out[s:e] = (csum[idx] - csum[lo]) / (idx - lo)
         g[out_col] = np.round(out, round_to) if round_to is not None else out
-        return g.iloc[ctx_len:]  # context rows belong to the previous block
+        return g.iloc[ctx_len:]  # context rows belong to the previous range
 
-    tails = [tail_of.remote(r) for r in block_refs]
-    counts_per_block = ray.get([nrows_of.remote(r) for r in block_refs])
-    futures = []
-    for i, r in enumerate(block_refs):
-        js, acc, j = [], 0, i - 1
-        while j >= 0 and acc < window - 1:
-            js.append(j)
-            acc += counts_per_block[j]
-            j -= 1
-        ctx = [tails[j2] for j2 in reversed(js)]
-        futures.append(score_block.remote(r, *ctx))
-    frames = [f for f in ray.get(futures) if len(f)]
+    cols, results = _sorted_windows(ds, key, ts_col, value_col, id_cols, window, score)
+    frames = [f for f in results if len(f)]
     if not frames:
         return rd.from_pandas(pd.DataFrame(columns=cols + [out_col]))
     return rd.from_pandas(pd.concat(frames, ignore_index=True))
@@ -373,34 +323,33 @@ def windowed_lof_chunked(
     ``windowed_lof`` feeds each key's whole sorted group to one
     ``map_groups`` task — correct, but a hot entity (lang=en at 62% of
     a web corpus) means one task holding 62% of the table. Here the
-    table is distributed-sorted by (key, ts, ids); each key's rows span
-    a consecutive run of blocks, and a CHAIN of tasks replays them
-    chunk-by-chunk, handing off only the LofWindow state (≤ max_items
-    rows + params — the matrices/tree caches are dropped before
-    serialization and rebuilt lazily). Scoring a key is inherently
-    sequential (sod semantics: every verdict depends on all prior
+    table is range-sorted by (key, ts, ids) (``exchange.range_sort``);
+    each key's rows span a consecutive run of ranges, and a CHAIN of
+    tasks replays them chunk-by-chunk, handing off only the LofWindow
+    state (≤ max_items rows + params — the matrices/tree caches are
+    dropped before serialization and rebuilt lazily). Scoring a key is
+    inherently sequential (sod semantics: every verdict depends on all prior
     appends), so the chain adds no wall-clock serialization that the
     semantics don't already require; chains of different keys run in
     parallel, and peak task memory drops from O(key history) to
-    O(block + window). Returns a pandas DataFrame like windowed_lof.
+    O(range + window), a range holding about one input block's rows
+    (at least ``blocks.ROWS_PER_TASK``). Returns a pandas DataFrame
+    like windowed_lof.
     """
     import pickle
 
-    import ray
-
     from ..functions.lof import LofWindow
+    from .exchange import range_sort
 
     keep = [key, ts_col] + feature_cols + [
         c
         for c in (id_cols or [])
         if c not in (key, ts_col) and c not in feature_cols
     ]
-    slim = ds.select_columns(keep)
     sort_keys = [key, ts_col] + [
         c for c in (id_cols or []) if c not in (key, ts_col)
     ]
-    sorted_ds = slim.sort(sort_keys)
-    block_refs = arrow_block_refs(sorted_ds)
+    block_refs = [b for b, _, _ in range_sort(ds, sort_keys, columns=keep)]
     out_cols = keep + ["lof", "outlier", "verdict_error", "norm_vec"]
     if not block_refs:
         return pd.DataFrame(columns=out_cols)

@@ -1,6 +1,6 @@
 """stages/blocks.py: arrow_block_refs (to_arrow_refs' contract without
-its plan re-execution — the Sort->limit=1 double-shuffle fix) and
-map_blocks (raw-task maps over landed blocks)."""
+its plan re-execution — the Sort->limit=1 double-shuffle fix),
+block_groups and map_blocks (raw-task maps over landed blocks)."""
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -113,3 +113,30 @@ def test_map_blocks_streams_a_lazy_input(ray_session, executions, tmp_path):
         out = map_blocks(rd.read_parquet(str(tmp_path)), _tagger())
     assert chains == []
     assert [r[1] for r in _rows(out)] == [2 * i for i in range(100)]
+
+
+def test_block_groups_contiguous_row_balanced(ray_session, monkeypatch):
+    """``block_groups`` keeps block order: contiguous groups of about
+    ``ROWS_PER_TASK`` rows each, one group at the default, no empty
+    group, and [] for an input without blocks."""
+    import ray.data as rd
+
+    from sod_ray.stages import blocks
+    from sod_ray.stages.blocks import block_groups, dataset_from_refs
+
+    sizes = [5, 300, 40, 1, 90, 64]
+    ds = rd.from_arrow(
+        [pa.table({"b": pa.array([i] * n)}) for i, n in enumerate(sizes)]
+    ).materialize()
+
+    def layout():
+        return [
+            [ray.get(r)["b"][0].as_py() for r in g] for g in block_groups(ds)
+        ]
+
+    assert layout() == [[0, 1, 2, 3, 4, 5]]
+    # 100 rows per task: 5 groups by rows before each block (0, 5, 305,
+    # 345, 346, 436), of which the 300-row block's share leaves 3
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 100)
+    assert layout() == [[0, 1], [2, 3, 4], [5]]
+    assert block_groups(dataset_from_refs([])) == []

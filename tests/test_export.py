@@ -1312,3 +1312,18 @@ def test_parallel_bloom_rebuild_parity(ray_session, tmp_path):
         finally:
             if orig is not None:
                 ex._BLOOM_FLAT_MAX_BITS = orig
+
+
+def test_run_export_over_budget_execution_budget(ray_session, tmp_path, executions):
+    """The funnel corpus with ``broadcast_limit=0``: every drop set goes
+    through ``bucketed_anti_join``, whose key maps run as raw tasks
+    over landed blocks (``blocks.map_blocks``), so the run launches at
+    most 27 Ray Data executions (39 when those maps were lazy
+    ``map_batches``). Drop sets and the corpus
+    still equal the sequential reference."""
+    inp = _funnel_corpus(str(tmp_path))
+    cfg = CurateConfig(**_FUNNEL_CFG, broadcast_limit=0)
+    with executions() as chains:
+        res = run_export(inp, os.path.join(str(tmp_path), "out"), cfg, resume=False)
+    assert _funnel_result(res) == _sequential_funnel(inp, cfg)
+    assert len(chains) <= 27, "\n".join(chains)

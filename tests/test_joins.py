@@ -159,10 +159,16 @@ def test_range_join_broadcast_overlapping(ray_session):
     assert got["band"].tolist() == exp["band"].tolist()
 
 
-def test_windowed_rolling_sorted_matches_pandas(ray_session):
+def test_windowed_rolling_sorted_matches_pandas(ray_session, monkeypatch):
+    """Exact against pandas' per-key rolling mean, with the range sort
+    cut into several ranges (a small ``ROWS_PER_TASK``) so hot keys
+    span range boundaries."""
     import ray.data as rd
 
+    from sod_ray.stages import blocks
     from sod_ray.stages.window import windowed_rolling_sorted
+
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 100)
 
     rng = np.random.default_rng(5)
     n = 3000

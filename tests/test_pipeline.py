@@ -87,11 +87,12 @@ def test_run_validation_execution_budget(
 ):
     """One validation run over the shared web fixture (default config
     plus the refs check, the validate_lang benchmark's shape) launches
-    at most 6 Ray Data executions (counted by the ``executions`` fixture):
-    the fused scan, the sketch partials, the peaks sort, the mismatch
-    sink, the exact-uniqueness hashes and the referential anti-join.
-    The count is deterministic for one input and session size, so a
-    new execution in the run fails here without timing noise, and the
+    at most 2 Ray Data executions (counted by the ``executions`` fixture):
+    the fused scan and the refs read with its broadcast anti-join. The
+    sketch partials, the exact-uniqueness hashes, the mismatch sink and
+    the peaks sort run as raw tasks over the landed blocks. The count
+    is deterministic for one input and session size, so a new
+    execution in the run fails here without timing noise, and the
     failure lists every execution's operator chain."""
     from sod_ray.pipelines.validate import ValidateConfig, run_validation
 
@@ -100,7 +101,154 @@ def test_run_validation_execution_budget(
     with executions() as chains:
         res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
     assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
-    assert len(chains) <= 6, "\n".join(chains)
+    assert len(chains) <= 2, "\n".join(chains)
+
+
+def test_uniqueness_verdicts_exact_at_wide_threshold(ray_session, web_dir, tmp_path):
+    """Uniqueness verdicts come from the exact per-partition dup count
+    at any threshold, also one outside the HLL's 3σ band (2.44% of
+    rows), where the sketch estimate alone could decide. The fixture's
+    urls are re-planted so the partitions' dup rates step over the
+    threshold; every verdict equals the exact count's."""
+    import pyarrow.parquet as pq
+
+    from sod_ray.pipelines.validate import ValidateConfig, run_validation
+
+    src, _ = web_dir
+    t = pq.read_table(f"{src}/webpages").to_pandas()
+    t["lang"] = t["lang"].astype(str)
+    urls = t["url"].to_numpy(copy=True)
+    for step, (_, idx) in enumerate(sorted(t.groupby("lang").indices.items())):
+        # partition number `step` repeats the url before it on 1.5% x
+        # step of its rows: rates 0%, 1.5%, 3%, ... around the threshold
+        n_dup = int(len(idx) * 0.015 * step)
+        urls[idx[1 : n_dup + 1]] = urls[idx[0]]
+    t["url"] = urls
+    os.makedirs(tmp_path / "web")
+    pq.write_table(
+        pa.Table.from_pandas(t, preserve_index=False),
+        tmp_path / "web" / "part-0.parquet",
+    )
+    by = t.groupby("lang")["url"]
+    dups = by.size() - by.nunique()
+    threshold = 0.04
+    cfg = ValidateConfig(max_dup_rate=threshold)
+    res = run_validation(str(tmp_path / "web"), str(tmp_path / "out"), cfg)
+    v = res.verdicts.to_pandas().set_index("partition")
+    want = {
+        p: "pass" if dups[p] <= threshold * by.size()[p] else "fail"
+        for p in dups.index
+    }
+    assert set(want.values()) == {"pass", "fail"}
+    assert v["c_uniqueness"].to_dict() == want
+
+
+def test_combined_partials_merge_task_grouping_invariant(ray_session, monkeypatch):
+    """The sketch partials run once per landed block, not per task
+    group: grouping the same blocks into one task or into several
+    (a small ``ROWS_PER_TASK``) gives byte-identical merged rows."""
+    import pandas as pd
+    import ray.data as rd
+
+    from sod_ray.pipelines.validate import ValidateConfig, _combined_partials_merge
+    from sod_ray.stages import blocks
+
+    rng = np.random.default_rng(4)
+    parts = []
+    for b, n in enumerate((300, 45, 500, 1, 260)):
+        parts.append(
+            pa.table(
+                {
+                    "lang": pa.array(rng.choice(["en", "de"], n)),
+                    "url": pa.array([f"http://h{b}.org/{i % 200}" for i in range(n)]),
+                    "html_null": pa.array(rng.random(n) < 0.01),
+                    "text_null": pa.array(rng.random(n) < 0.01),
+                    "extract_match": pa.array(rng.random(n) < 0.5),
+                    "n_chars": pa.array(rng.gamma(2.0, 10.0 * (b + 1), n)),
+                    "n_tokens": pa.array(rng.gamma(1.5, 2.0, n)),
+                }
+            )
+        )
+    ds = rd.from_arrow(parts).materialize()
+
+    def merged():
+        out = _combined_partials_merge(ds, ValidateConfig()).to_pandas()
+        return out.sort_values(["part_key", "column"]).reset_index(drop=True)
+
+    one_task = merged()
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 200)
+    assert len(blocks.block_groups(ds)) > 1
+    pd.testing.assert_frame_equal(one_task, merged(), check_exact=True)
+
+
+def test_mismatch_sink_rerun_and_layout(ray_session, tmp_path, monkeypatch):
+    """``write_mismatches`` on a landed table (several task groups)
+    writes deterministic ``mismatch-g<i>`` files: a second run into the
+    same directory leaves the same files with the same rows, and those
+    rows equal a hive-partitioned ``write_parquet`` of the flagged rows
+    (the sink before it wrote from raw tasks, and its lazy-input path)."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from sod_ray.pipelines.validate import _flag_mismatches, write_mismatches
+    from sod_ray.stages import blocks
+
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 100)
+    rng = np.random.default_rng(2)
+    parts = []
+    for b in range(4):
+        n = 150
+        parts.append(
+            pa.table(
+                {
+                    "url": [f"http://h{b}.test/{i}" for i in range(n)],
+                    "warc_ts": pa.array(rng.integers(0, 10**9, n), pa.timestamp("us")),
+                    "lang": pa.array(rng.choice(["en", "de", "fr"], n)),
+                    "n_chars": pa.array(rng.integers(0, 500, n)),
+                    "extract_match": pa.array(rng.random(n) > 0.1),
+                }
+            )
+        )
+    featured = rd.from_arrow(parts).materialize()
+
+    def landed(d):
+        return {
+            os.path.relpath(f, d): pq.read_table(f)
+            for f in sorted(glob.glob(os.path.join(d, "lang=*", "*.parquet")))
+        }
+
+    def rows_by_lang(files):
+        out = {}
+        for name, t in files.items():
+            out.setdefault(os.path.dirname(name), []).extend(
+                sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
+            )
+        return {k: sorted(v) for k, v in out.items()}
+
+    sink = str(tmp_path / "sink")
+    write_mismatches(featured, sink, "lang")
+    first = landed(sink)
+    write_mismatches(featured, sink, "lang")
+    second = landed(sink)
+    assert sorted(first) == sorted(second)
+    assert all(first[f].equals(second[f]) for f in first)
+    names = {os.path.basename(f) for f in first}
+    assert len(names) > 1 and all(n.startswith("mismatch-g") for n in names)
+
+    ref = str(tmp_path / "ref")
+    featured.map_batches(
+        _flag_mismatches, batch_format="pyarrow", fn_args=("lang",)
+    ).write_parquet(ref, partition_cols=["lang"])
+    want = landed(ref)
+    assert all(
+        t.schema.names == ["url", "warc_ts", "violation"] for t in first.values()
+    )
+    assert rows_by_lang(first) == rows_by_lang(want)
+    assert sum(t.num_rows for t in first.values()) == sum(
+        int((~p["extract_match"].to_numpy(zero_copy_only=False)).sum()) for p in parts
+    )
 
 
 def test_referential_clears_stale_landing(ray_session, web_dir, tmp_path):

@@ -258,14 +258,18 @@ def test_salting(ray_session, webpages):
     assert en["mean"] == pytest.approx(expected.mean(), rel=1e-9)
 
 
-def test_windowed_zscore_sorted_matches_groupby(ray_session, webpages):
+def test_windowed_zscore_sorted_matches_groupby(ray_session, webpages, monkeypatch):
     """The hot-key-parallel sorted scorer must produce EXACTLY the same
-    flagged rows as the per-group scorer, including across block
-    boundaries (overlap correctness)."""
+    flagged rows as the per-group scorer, including across range
+    boundaries (overlap correctness): a small ``ROWS_PER_TASK`` makes
+    the range sort cut the table into several ranges."""
     import ray.data as rd
 
+    from sod_ray.stages import blocks
     from sod_ray.stages.textstage import TextFeatures
     from sod_ray.stages.window import windowed_zscore, windowed_zscore_sorted
+
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 50)
 
     table, _ = webpages
     ds = (
@@ -450,13 +454,17 @@ def test_broadcast_joins_exact_values(ray_session):
     assert sorted(semi["row"]) == ["a", "b", "d"]
 
 
-def test_windowed_zscore_sorted_subwindow_blocks(ray_session):
-    """Blocks far smaller than the window: the sorted scorer must
-    accumulate context across SEVERAL preceding blocks (a single
-    predecessor tail truncates the trailing window — ADVICE r1)."""
+def test_windowed_zscore_sorted_subwindow_blocks(ray_session, monkeypatch):
+    """Ranges far smaller than the window: the sorted scorer must
+    accumulate context across SEVERAL preceding ranges (a single
+    predecessor tail truncates the trailing window — ADVICE r1). A
+    5-row ``ROWS_PER_TASK`` cuts the 240 rows into 8 ranges of ~30."""
     import ray.data as rd
 
+    from sod_ray.stages import blocks
     from sod_ray.stages.window import windowed_zscore, windowed_zscore_sorted
+
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 5)
 
     rng = np.random.default_rng(7)
     n = 240
@@ -511,14 +519,17 @@ def test_manifest_flags_vs_evidence(tmp_path):
     assert legacy_ok.passed()
 
 
-def test_windowed_lof_chunked_matches_monolithic(ray_session, webpages):
+def test_windowed_lof_chunked_matches_monolithic(ray_session, webpages, monkeypatch):
     """Chunked state-handoff replay == one-task-per-key replay (same
-    verdicts, scores, norm_vec cache) even with many sub-window blocks
-    and a skewed hot key."""
+    verdicts, scores, norm_vec cache) even with many ranges (a small
+    ``ROWS_PER_TASK``) and a skewed hot key."""
     import ray.data as rd
 
+    from sod_ray.stages import blocks
     from sod_ray.stages.textstage import TextFeatures
     from sod_ray.stages.window import windowed_lof, windowed_lof_chunked
+
+    monkeypatch.setattr(blocks, "ROWS_PER_TASK", 50)
 
     table, _ = webpages
     ds = (
