@@ -462,7 +462,9 @@ def run_export(
     """
     import ray.data as rd
 
-    from ..stages.blocks import map_blocks
+    import pyarrow.dataset as pads
+
+    from ..stages.blocks import map_blocks, read_parquet
     from ..stages.dedup import apply_drops, neardup_drop_ids
     from ..stages.exchange import land, sorted_lookup
     from ..stages.textstage import normalize_url_array, redact_pii_batch
@@ -558,9 +560,14 @@ def run_export(
             )
         return ds
 
+    # opened once: every filtered() read is planned from its file list
+    input_files = pads.dataset(input_path, format="parquet")
+
     def filtered(columns: list[str] | None):
         """Column-pruned corpus view with all prior drops applied."""
-        return survivors(rd.read_parquet(input_path, columns=columns), id_col)
+        return survivors(
+            read_parquet(input_path, input_files, columns=columns), id_col
+        )
 
     def resumed(name: str) -> bool:
         return f"decision:{name}" in committed and os.path.isdir(

@@ -94,7 +94,12 @@ from ..state.manifest import Manifest, PartitionRecord, _is_flag
 from ..stages.exchange import broadcast_rows_budget
 from ..stages.constraints import schema_check
 from ..stages.stats import _group_indices, column_stats
-from ..stages.blocks import arrow_block_refs, block_groups, dataset_from_refs
+from ..stages.blocks import (
+    arrow_block_refs,
+    block_groups,
+    dataset_from_refs,
+    read_parquet,
+)
 
 WEBPAGE_SCHEMA = {
     "url": pa.string(),
@@ -133,13 +138,30 @@ class FusedFeatures:
     (to_pylist + re) is allocator/memory-bound and stops scaling past
     ~10 cores on commodity VMs, while the Arrow kernels scale linearly.
     Output is the slim feature table — html and text are dropped here.
-    ``extra_cols`` (e.g. a derived host partition key) pass through."""
+    ``extra_cols`` (e.g. a derived host partition key) pass through.
 
-    def __init__(self, extra_cols: tuple = (), quality: bool = False):
+    The map takes no ``batch_size``, so Ray Data can fuse it into its
+    Parquet read (``blocks.read_parquet``) and hand it whole read
+    blocks: the kernels run on slices of at most ``batch_size`` rows
+    (the ``ValidateConfig.batch_size`` of the run), which bounds the
+    memory of one kernel call as a batched map would."""
+
+    def __init__(
+        self, batch_size: int, extra_cols: tuple = (), quality: bool = False
+    ):
         self.extra_cols = tuple(extra_cols)
         self.quality = quality
+        self.batch_size = batch_size
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        n = self.batch_size
+        if batch.num_rows <= n:
+            return self._features(batch)
+        return pa.concat_tables(
+            [self._features(batch.slice(i, n)) for i in range(0, batch.num_rows, n)]
+        )
+
+    def _features(self, batch: pa.Table) -> pa.Table:
         from ..functions.text import extract_text_arrow
         from ..stages.textstage import count_nonspace_runs
 
@@ -200,7 +222,7 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
     t-digest sketches for every stat column, the url-uniqueness HLL,
     and the null/match counters. One partial row set per block of a
     landed ``featured`` (raw tasks over ``blocks.block_groups``; per
-    8,192-row batch of a lazy one), then raw-task ``exchange_reduce``
+    read block of a parquet-landed one), then raw-task ``exchange_reduce``
     levels keyed on ``hash64(part_key)`` — the exchange carries a
     handful of sketch rows per (key, block) and no Ray Data execution
     runs. Rows come out per key in ``stat_columns`` order; the order
@@ -419,10 +441,9 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
             [_partials_group.remote(partials, *g) for g in block_groups(featured)]
             or [ray.put(partials(pa.table({})))]
         )
-    else:  # parquet-landed slim table: stream it
-        partial_rows = featured.map_batches(
-            partials, batch_format="pyarrow", batch_size=8192
-        )
+    else:  # parquet-landed slim table: stream it (no batch_size, so it
+        # can fuse into its read)
+        partial_rows = featured.map_batches(partials, batch_format="pyarrow")
     if cfg.merge_salt > 1:
         # two-level salted merge (SURVEY.md §7.5.6): the hot key's
         # partial rows (one per landed block, so their count grows with
@@ -431,21 +452,6 @@ def _combined_partials_merge(featured, cfg: "ValidateConfig"):
         # merge folds only `merge_salt` rows per key
         partial_rows = exchange_reduce(partial_rows, "__k", combine_salted)
     return exchange_reduce(partial_rows, "__k", merge_keys)
-
-
-_FUSED_SINGLETON: FusedFeatures | None = None
-
-
-def fused_features_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task wrapper around FusedFeatures: regex state is a
-    lazy module-level singleton, compiled once per WORKER PROCESS (Ray
-    reuses workers across tasks), so plain tasks get actor-style state
-    amortization without actor-pool startup cost — the setup here is
-    milliseconds, not a model load, so tasks beat actors (guide rule)."""
-    global _FUSED_SINGLETON
-    if _FUSED_SINGLETON is None:
-        _FUSED_SINGLETON = FusedFeatures()
-    return _FUSED_SINGLETON(batch)
 
 
 @dataclass
@@ -550,10 +556,8 @@ def list_partitions(
         return pc.unique(t[part_key])
 
     if len(dataset.files) > distributed_over_files:
-        import ray.data as rd
-
         uniq = (
-            rd.read_parquet(input_path, columns=[scan_col])
+            read_parquet(input_path, dataset, columns=[scan_col])
             .map_batches(
                 lambda t: pa.table({part_key: keys_of(t)}),
                 batch_format="pyarrow",
@@ -815,17 +819,16 @@ def _run_referential(input_path, cfg, manifest, out_dir, parent_keys=None):
     is written there with ``pq.write_table``, so the anti-join is the
     check's one execution; a larger set keeps ``write_parquet``."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
-    from ..stages.blocks import arrow_block_refs_with_rows, dataset_from_refs
+    from ..stages.blocks import arrow_block_refs_with_rows
     from ..stages.constraints import broadcast_anti_join, referential_check
 
-    refs = rd.read_parquet(cfg.refs_path)
+    refs = read_parquet(cfg.refs_path)
     if parent_keys is not None and len(parent_keys) <= broadcast_rows_budget():
         violations = broadcast_anti_join(refs, parent_keys, "dst_url")
         est = {"dangling_est": float("nan"), "exact_path": "broadcast_fused"}
     else:
-        parent = rd.read_parquet(input_path, columns=["url"])
+        parent = read_parquet(input_path, columns=["url"])
         violations, est = referential_check(refs, parent, "dst_url", "url")
     vdir = os.path.join(out_dir, "violations", "referential")
     refs_out, n_dangling, schema = arrow_block_refs_with_rows(violations)
@@ -880,13 +883,15 @@ def _run_wave(
     ``inline_referential`` (single-wave fresh runs) the referential
     check itself runs as a 4th concurrent consumer of the slim table
     and its result is returned instead of the url blocks."""
-    import ray.data as rd
-
+    # one dataset object: its file count plans the read (see
+    # blocks.read_parquet) and its row count sizes the auto-spill
+    # estimate
+    dataset = pads.dataset(input_path, format="parquet")
     if cfg.part_key_expr:
         # derived key: no storage-level pushdown possible — read all,
         # derive the key per batch, drop committed partitions' rows at
         # the first stage (see ValidateConfig.part_key_expr note)
-        raw = rd.read_parquet(input_path)
+        raw = read_parquet(input_path, dataset)
         schema_verdict = schema_check(raw, WEBPAGE_SCHEMA)
         keep = pa.array(remaining, pa.string())
 
@@ -895,29 +900,27 @@ def _run_wave(
             return t.filter(pc.is_in(t[cfg.part_key], value_set=keep))
 
         ds = raw.map_batches(derive_filter, batch_format="pyarrow")
-        fused_fn = FusedFeatures(
-            extra_cols=(cfg.part_key,), quality=cfg.quality_check
-        )
+        extra_cols = (cfg.part_key,)
     else:
-        ds = rd.read_parquet(
+        ds = read_parquet(
             input_path,
+            dataset,
             filter=pc.field(cfg.part_key).isin(remaining),
         )
         schema_verdict = schema_check(ds, WEBPAGE_SCHEMA)
-        fused_fn = (
-            FusedFeatures(quality=True)
-            if cfg.quality_check
-            else fused_features_batch
-        )
+        extra_cols = ()
     _mark("schema")
 
     # ONE scan: fused extraction + features; html dropped inside the
-    # stage. Stateless tasks (cheap per-worker setup) — elastic, no
-    # actor-pool startup; see fused_features_batch.
+    # stage, which Ray Data fuses into the read when read_parquet plans
+    # one task per file (html and text then never land in the object
+    # store). No batch_size on the map, as one would block that fusion:
+    # FusedFeatures slices each read block to cfg.batch_size rows.
     featured_stream = ds.map_batches(
-        fused_fn,
+        FusedFeatures(
+            cfg.batch_size, extra_cols=extra_cols, quality=cfg.quality_check
+        ),
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
     )
     intermediate_dir = cfg.intermediate_dir
     if intermediate_dir is None:
@@ -929,12 +932,10 @@ def _run_wave(
         # the 150M-row run (slim 9.6 GB = 24% of a 37.6 GiB store)
         # missed the old threshold by 5% and thrashed raylet spill
         try:
-            import ray
-
             store_bytes = int(
                 ray.cluster_resources().get("object_store_memory", 0)
             )
-            est_rows = pads.dataset(input_path, format="parquet").count_rows()
+            est_rows = dataset.count_rows()
             if store_bytes and est_rows * 64 > 0.15 * store_bytes:
                 intermediate_dir = os.path.join(out_dir, "_intermediate")
         except Exception:
@@ -942,10 +943,11 @@ def _run_wave(
     if intermediate_dir:
         # 100 TB path: land the slim table on storage (spillable,
         # survives worker loss) and stream it back per consumer
+        # through blocks.read_parquet
         inter = os.path.join(intermediate_dir, f"featured-{wave_id}")
         shutil.rmtree(inter, ignore_errors=True)
         featured_stream.write_parquet(inter)
-        featured = rd.read_parquet(inter)
+        featured = read_parquet(inter)
     else:
         featured = featured_stream.materialize()
     _mark("fused+materialize")

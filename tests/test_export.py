@@ -191,6 +191,34 @@ def test_run_export_execution_budget(ray_session, tmp_path, executions):
     assert len(chains) <= 2, "\n".join(chains)
 
 
+def test_run_export_reads_fused(ray_session, tmp_path, executions):
+    """The planted corpus in 4 files, as many as the test session's
+    CPUs: every corpus read plans one task per file
+    (``blocks.read_parquet``), so no read is split and the first map of
+    each fuses into it; the funnel drops the same rows as from one file
+    within the same 2-execution budget."""
+    t = pq.read_table(_mk_corpus(str(tmp_path)))
+    inp = os.path.join(str(tmp_path), "corpus_in4")
+    os.makedirs(inp)
+    for i, part in enumerate(np.array_split(np.arange(len(t)), 4)):
+        pq.write_table(
+            t.take(pa.array(part)), os.path.join(inp, f"part-{i}.parquet")
+        )
+    cfg = CurateConfig(neardup=True, partition_col="lang")
+    with executions() as chains:
+        res = run_export(
+            inp, os.path.join(str(tmp_path), "oute"), cfg, resume=False
+        )
+    rep = res.report
+    assert rep["stages"]["quality"]["dropped"] == 2
+    assert rep["stages"]["exact"]["dropped"] == 4
+    assert rep["rows_out"] == len(pq.read_table(res.corpus_dir))
+    msg = "\n".join(chains)
+    assert len(chains) <= 2, msg
+    assert not any("SplitBlocks" in c for c in chains), msg
+    assert chains[0].startswith("Input -> ReadParquet->MapBatches("), msg
+
+
 _VOCAB = [f"word{i:04d}" for i in range(2000)] + [
     "the", "of", "and", "to", "in", "is", "was", "for", "with", "on",
 ]

@@ -102,6 +102,80 @@ def test_run_validation_execution_budget(
         res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
     assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
     assert len(chains) <= 2, "\n".join(chains)
+    # 2 files on 4 CPUs: the scan keeps Ray's split read, so the
+    # feature map still spreads over every CPU (blocks.read_parquet)
+    assert chains[0].startswith("Input -> ReadParquet->SplitBlocks("), chains
+    assert chains[0].endswith(" -> MapBatches(FusedFeatures)"), chains
+
+
+@pytest.fixture(scope="module")
+def web_dir4(tmp_path_factory):
+    """The web fixture's rows in 4 files: as many as the test session's
+    CPUs, so ``blocks.read_parquet`` plans one read task per file."""
+    d = str(tmp_path_factory.mktemp("web4"))
+    truth = write_webpages(d, n_rows=4000, n_shards=4, seed=42)
+    return d, truth
+
+
+@pytest.mark.parametrize(
+    "key, scan",
+    [
+        ({}, "Input -> ReadParquet->MapBatches(FusedFeatures)"),
+        (
+            {"part_key": "host", "part_key_expr": "host"},
+            "Input -> ReadParquet->MapBatches(derive_filter)"
+            "->MapBatches(FusedFeatures)",
+        ),
+    ],
+    ids=["stored_key", "derived_key"],
+)
+def test_run_validation_fused_scan(
+    ray_session, web_dir4, tmp_path, executions, key, scan
+):
+    """With at least as many files as CPUs the corpus scan runs as one
+    fused read+map operator, one task per file: html and text never
+    land in the object store. This holds on the stored-key path and on
+    the derived-key path (``part_key_expr``), where the key derivation
+    and the partition filter fuse in too; the run stays within the
+    2-execution budget."""
+    from sod_ray.pipelines.validate import ValidateConfig, run_validation
+
+    src, truth = web_dir4
+    cfg = ValidateConfig(refs_path=f"{src}/webpage_refs", **key)
+    with executions() as chains:
+        res = run_validation(f"{src}/webpages", str(tmp_path / "out"), cfg)
+    assert res.verdicts.to_pandas()["rows"].sum() == truth["n_rows"]
+    msg = "\n".join(chains)
+    assert len(chains) <= 2, msg
+    assert chains[0] == scan, msg
+
+
+@pytest.mark.parametrize("quality", [False, True])
+def test_fused_features_slices_match_whole_block(tmp_path, quality):
+    """``FusedFeatures`` runs its kernels on slices of at most
+    ``batch_size`` rows of a read block; the result equals one call on
+    the whole block in values, dtypes and row order. The 11-row block
+    at ``batch_size=5`` ends in a one-row slice, and a null html (last
+    row of the first slice) and a null text (first row of the second)
+    sit at the slice boundary."""
+    import pyarrow.parquet as pq
+
+    from sod_ray.pipelines.validate import FusedFeatures
+
+    write_webpages(str(tmp_path), n_rows=200, n_shards=1, seed=3)
+    t = pq.read_table(tmp_path / "webpages").slice(0, 11).combine_chunks()
+    null_at = lambda col, i: pa.array(  # noqa: E731
+        [None if j == i else v for j, v in enumerate(t[col].to_pylist())],
+        t.schema.field(col).type,
+    )
+    t = t.set_column(t.schema.get_field_index("html"), "html", null_at("html", 4))
+    t = t.set_column(t.schema.get_field_index("text"), "text", null_at("text", 5))
+
+    whole = FusedFeatures(len(t), quality=quality)(t)
+    sliced = FusedFeatures(5, quality=quality)(t)
+    assert sliced.schema == whole.schema
+    assert sliced.equals(whole)
+    assert whole["html_null"].to_pylist()[4] and whole["text_null"].to_pylist()[5]
 
 
 def test_uniqueness_verdicts_exact_at_wide_threshold(ray_session, web_dir, tmp_path):

@@ -30,11 +30,12 @@ def main(n_rows: int = 500_000, ncpu: int = 32):
     ctx.op_resource_reservation_enabled = False
 
     from sod_ray.pipelines.validate import (
+        FusedFeatures,
         ValidateConfig,
-        fused_features_batch,
         run_validation,
     )
     from sod_ray.sources.webpages import write_webpages
+    from sod_ray.stages.blocks import read_parquet
 
     d = f"/tmp/sod_profile/web-{n_rows}"
     if not os.path.exists(f"{d}/truth.json"):
@@ -52,10 +53,16 @@ def main(n_rows: int = 500_000, ncpu: int = 32):
     dt = time.perf_counter() - t0
     print(f"total: {dt:.2f}s → {res.rows_scanned / dt:.0f} rows/s")
 
+    # the scan run_validation runs: blocks.read_parquet's plan (one
+    # read task per file, the feature map fused into it, when the files
+    # are at least as many as the CPUs; Ray's split read otherwise)
     print("\n=== fused-stage operator stats (isolated) ===")
     f = (
-        rd.read_parquet(web)
-        .map_batches(fused_features_batch, batch_format="pyarrow", batch_size=4096)
+        read_parquet(web)
+        .map_batches(
+            FusedFeatures(ValidateConfig().batch_size),
+            batch_format="pyarrow",
+        )
         .materialize()
     )
     print(f.stats())
